@@ -5,7 +5,7 @@ itself — no network stack, no ORB, no payload analysis — on a
 synthetic workload shaped like the table 1 hot path: a farm of
 periodic re-armed flows (traffic sources / transmitters), one
 coalesced ticker fanning out to subscribers (the capacity farm's
-FrameClock), and timeout churn that schedules far-future events and
+frame clock), and timeout churn that schedules far-future events and
 cancels them before they fire (transport retransmit timers).
 
 The workload is sized to the heaviest table 1 arm (~875 k executed

@@ -41,6 +41,12 @@ TickCoalescer` grid so a burst of 100 000 admissions at one simulated
 instant costs **one** share recompute, not 100 000.  All float ledgers
 follow the :mod:`repro.sim.quantize` policy.
 
+Cohorts: a flow with multiplicity ``count`` stands for that many
+identical members.  Its ledgers, share and latency are per member, and
+every sum into a link quantity adds the member value ``count`` times
+with :func:`~repro.sim.quantize.repeat_add`, bit-identical to
+``count`` consecutive single flows.
+
 Determinism: the engine schedules only through the coalescer, never
 consumes random numbers, and iterates flows/links in insertion order,
 so a hybrid run is bit-reproducible from its seed like any other.
@@ -52,7 +58,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.sim.coalesce import TickCoalescer
 from repro.sim.kernel import Kernel
-from repro.sim.quantize import EPSILON, clamp
+from repro.sim.quantize import EPSILON, clamp, repeat_add
 
 __all__ = ["FluidFlow", "FluidLink", "FluidEngine"]
 
@@ -65,10 +71,11 @@ _SHARE_EPS = 1e-6
 
 
 class FluidFlow:
-    """One fluid traffic flow: a piecewise-constant rate along a path."""
+    """``count`` identical fluid flows: a piecewise-constant rate along
+    a path.  Rates, ledgers, share and latency are those of one member."""
 
     __slots__ = (
-        "name", "reserved", "adaptive", "tenant", "links",
+        "name", "reserved", "adaptive", "links", "count",
         "rate_bps", "nominal_bps", "deadline",
         "served_share", "latency",
         "offered_bytes", "served_bytes", "lost_bytes", "shed_bytes",
@@ -77,13 +84,12 @@ class FluidFlow:
 
     def __init__(self, name: str, rate_bps: float,
                  links: Sequence["FluidLink"], reserved: bool = False,
-                 adaptive: bool = False, tenant: Optional[str] = None,
-                 nominal_bps: Optional[float] = None,
-                 deadline: Optional[float] = None) -> None:
+                 adaptive: bool = False, nominal_bps: Optional[float] = None,
+                 deadline: Optional[float] = None, count: int = 1) -> None:
         self.name = name
+        self.count = count
         self.reserved = bool(reserved)
         self.adaptive = bool(adaptive)
-        self.tenant = tenant
         self.links: List["FluidLink"] = list(links)
         #: Offered on-wire rate right now (piecewise constant).
         self.rate_bps = float(rate_bps)
@@ -126,7 +132,7 @@ class FluidFlow:
 
     def __repr__(self) -> str:  # pragma: no cover
         cls = "res" if self.reserved else "be"
-        return (f"<FluidFlow {self.name!r} {cls} "
+        return (f"<FluidFlow {self.name!r} {cls} x{self.count} "
                 f"{self.rate_bps / 1e6:.2f}Mbps share={self.served_share:.3f}>")
 
 
@@ -339,19 +345,22 @@ class FluidEngine:
 
     def add_flow(self, name: str, rate_bps: float,
                  links: Sequence[FluidLink], reserved: bool = False,
-                 adaptive: bool = False, tenant: Optional[str] = None,
-                 nominal_bps: Optional[float] = None,
-                 deadline: Optional[float] = None) -> FluidFlow:
+                 adaptive: bool = False, nominal_bps: Optional[float] = None,
+                 deadline: Optional[float] = None,
+                 count: int = 1) -> FluidFlow:
+        """Add ``count`` identical flows as one cohort named ``name``."""
         if name in self._flows:
             raise ValueError(f"duplicate fluid flow {name!r}")
         if rate_bps < 0:
             raise ValueError(f"negative rate: {rate_bps}")
         if not links:
             raise ValueError(f"fluid flow {name!r} needs at least one link")
+        if count < 1:
+            raise ValueError(f"cohort size must be at least 1, got {count}")
         self._sync()
         flow = FluidFlow(name, rate_bps, links, reserved=reserved,
-                         adaptive=adaptive, tenant=tenant,
-                         nominal_bps=nominal_bps, deadline=deadline)
+                         adaptive=adaptive, nominal_bps=nominal_bps,
+                         deadline=deadline, count=count)
         self._flows[name] = flow
         self._mark_dirty()
         return flow
@@ -412,11 +421,10 @@ class FluidEngine:
             flow.active_seconds += dt
             if flow.deadline is None or flow.latency <= flow.deadline:
                 flow.served_on_time_bytes += served
-        # Per-link ledgers: one pass over flows, walking each path and
-        # thinning the arrival rate by the upstream shares (exact
-        # because rates were piecewise constant over the interval).
-        for flow in self._flows.values():
-            rate = flow.rate_bps
+            # Per-link ledgers: walk the path, thinning the arrival rate
+            # by the upstream shares (exact because rates were piecewise
+            # constant over the interval).
+            n = flow.count
             for hop in flow.links:
                 if not hop.up:
                     break
@@ -424,9 +432,10 @@ class FluidEngine:
                          else hop.be_share)
                 offered = rate * dt / 8.0
                 served = offered * share
-                hop.offered_bytes += offered
-                hop.served_bytes += served
-                hop.lost_bytes += clamp(offered - served, 0.0, offered)
+                lost = clamp(offered - served, 0.0, offered)
+                hop.offered_bytes = repeat_add(hop.offered_bytes, offered, n)
+                hop.served_bytes = repeat_add(hop.served_bytes, served, n)
+                hop.lost_bytes = repeat_add(hop.lost_bytes, lost, n)
                 rate *= share
 
     def _recompute(self) -> None:
@@ -443,7 +452,7 @@ class FluidEngine:
             # Immediate governor (delay 0): relax in-place this epoch.
             for flow, new_rate in shed_requests:
                 flow.rate_bps = new_rate
-                self.governor_transitions += 1
+                self.governor_transitions += flow.count
             shed_requests = []
         if shed_requests and not self._governor_pending:
             self._governor_pending = True
@@ -474,7 +483,7 @@ class FluidEngine:
                     if not hop.up:
                         rate = 0.0
                         break
-                    bucket[hop] += rate
+                    bucket[hop] = repeat_add(bucket[hop], rate, flow.count)
                     rate *= (hop.reserved_share if flow.reserved
                              else hop.be_share)
             worst = 0.0
@@ -511,17 +520,23 @@ class FluidEngine:
         # shares and latency estimates from the converged fixed point.
         fluid_served = {link: 0.0 for link in links}
         fluid_be_in = {link: 0.0 for link in links}
+        res_served = {link: 0.0 for link in links}
         for flow in flows:
             rate = flow.rate_bps
+            n = flow.count
             for hop in flow.links:
                 if not hop.up:
                     rate = 0.0
                     break
-                if not flow.reserved:
-                    fluid_be_in[hop] += rate
-                share = (hop.reserved_share if flow.reserved
-                         else hop.be_share)
-                fluid_served[hop] += rate * share
+                if flow.reserved:
+                    share = hop.reserved_share
+                    served = rate * share
+                    res_served[hop] = repeat_add(res_served[hop], served, n)
+                else:
+                    share = hop.be_share
+                    served = rate * share
+                    fluid_be_in[hop] = repeat_add(fluid_be_in[hop], rate, n)
+                fluid_served[hop] = repeat_add(fluid_served[hop], served, n)
                 rate *= share
             flow.served_share = (rate / flow.rate_bps
                                  if flow.rate_bps > EPSILON else
@@ -542,23 +557,8 @@ class FluidEngine:
                 # backlog bound drained at the class service rate
                 # (capacity left after the strict-priority reserved
                 # class, fluid and packet alike).
-                res_served = 0.0
-                for flow in flows:
-                    if not flow.reserved:
-                        continue
-                    rate = flow.rate_bps
-                    for hop in flow.links:
-                        if not hop.up:
-                            rate = 0.0
-                            break
-                        if hop is link:
-                            break
-                        rate *= hop.reserved_share
-                    else:
-                        rate = 0.0
-                    res_served += rate * link.reserved_share
                 be_service = max(
-                    cap - link.packet_reserved_bps - res_served,
+                    cap - link.packet_reserved_bps - res_served[link],
                     cap * MIN_RESIDUAL_FRACTION)
                 link.be_queue_delay = link.queue_bytes * 8.0 / be_service
             else:
@@ -597,7 +597,7 @@ class FluidEngine:
         for flow, new_rate in self._governor_candidates(
                 list(self._flows.values())):
             flow.rate_bps = new_rate
-            self.governor_transitions += 1
+            self.governor_transitions += flow.count
             changed = True
         if changed:
             self._mark_dirty()

@@ -10,7 +10,7 @@ rejects each stream's CPU reserve and RSVP bandwidth request.  Rejected
 streams fall back to best-effort (and, in the adaptive arm, shed load
 through their frame-filtering contract instead of drowning the links).
 
-Scheduling is batched: one :class:`~repro.scale.clock.FrameClock` event
+Scheduling is batched: one :class:`~repro.sim.coalesce.PeriodicTicker` event
 per frame interval drives every sender, so the kernel event count stays
 O(ticks) rather than O(streams x ticks) — what keeps N=64 tractable.
 """
@@ -19,7 +19,6 @@ from repro.scale.admission import (  # noqa: F401
     AdmissionController,
     AdmissionDecision,
 )
-from repro.scale.clock import FrameClock  # noqa: F401
 from repro.scale.farm import (  # noqa: F401
     FarmStreamReceiver,
     FarmStreamSender,

@@ -17,7 +17,7 @@ Public surface
 
 ``PeriodicTicker`` / ``TickCoalescer``
     Kernel-level timer coalescing: batch N same-tick wakeups into one
-    kernel event (the FrameClock trick, generalized).
+    kernel event (the stream farm's frame-clock trick, generalized).
 
 ``Process``
     A generator-based coroutine executing on a kernel.  Processes yield

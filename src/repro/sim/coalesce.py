@@ -1,15 +1,15 @@
 """Kernel-level timer coalescing.
 
-PR 4's ``FrameClock`` showed that N periodic actors sharing one kernel
-event per tick beats N private timers by an order of magnitude in
-scheduler traffic.  This module generalizes that trick to the kernel
+The stream farm's frame clock showed that N periodic actors sharing
+one kernel event per tick beats N private timers by an order of
+magnitude in scheduler traffic.  This module generalizes that trick to the kernel
 layer, where any subsystem can use it:
 
 :class:`PeriodicTicker`
     One periodic kernel event fanned out to many subscribers — the
-    FrameClock pattern, now with an allocation-free re-armed tick event
-    (:meth:`~repro.sim.kernel.Kernel.rearm`).
-    :class:`repro.scale.clock.FrameClock` is a thin alias of this.
+    frame-clock pattern, with an allocation-free re-armed tick event
+    (:meth:`~repro.sim.kernel.Kernel.rearm`).  The stream farms drive
+    their senders from one of these.
 
 :class:`TickCoalescer`
     Batches *arbitrary one-shot* wakeups onto a shared tick grid: every

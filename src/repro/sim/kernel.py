@@ -312,10 +312,6 @@ class Kernel:
         """O(1) count of live (non-cancelled) events still queued."""
         return self._queue.live()
 
-    #: Deprecated alias of :meth:`pending`; kept for callers written
-    #: against the pre-consolidation API.
-    pending_count = pending
-
     def heap_size(self) -> int:
         """Queue entries including tombstones (observability / tests)."""
         return self._queue.size()

@@ -177,3 +177,130 @@ def test_prop_shares_never_overserve_capacity(capacity, n_be, n_res):
     assert served <= capacity * (1.0 + 1e-9)
     assert link.packet_residual_bps > 0.0
     check_world(engine)
+
+
+# ----------------------------------------------------------------------
+# Cohorts: one count=k flow is bit-identical to k consecutive flows
+# ----------------------------------------------------------------------
+LINK_NAMES = ("l0", "l1", "l2")
+#: A path of one to three distinct links, in any order.
+COHORT_PATH = st.permutations(LINK_NAMES).flatmap(
+    lambda order: st.integers(1, 3).map(lambda k: tuple(order[:k])))
+COHORT = st.tuples(
+    RATE, st.booleans(), st.booleans(), COHORT_PATH,
+    st.integers(min_value=1, max_value=6),                  # members
+    st.one_of(st.none(), st.floats(min_value=1e-4, max_value=0.05)),
+)
+COHORT_OPS = st.lists(st.tuples(DELAY, st.one_of(
+    st.tuples(st.just("add"), COHORT),
+    st.tuples(st.just("remove"), st.integers(0, 20)),
+    st.tuples(st.just("set_rate"), st.integers(0, 20), RATE),
+    st.tuples(st.just("fault"), st.sampled_from(LINK_NAMES), st.booleans()),
+    st.tuples(st.just("packet_load"), st.sampled_from(LINK_NAMES),
+              st.floats(min_value=0.0, max_value=5e6), st.booleans()),
+)), max_size=20)
+
+FLOW_FIELDS = (
+    "rate_bps", "nominal_bps", "served_share", "latency",
+    "offered_bytes", "served_bytes", "lost_bytes", "shed_bytes",
+    "served_on_time_bytes", "latency_time_sum", "active_seconds",
+)
+LINK_FIELDS = (
+    "reserved_share", "be_share", "fluid_served_bps", "fluid_be_in_bps",
+    "packet_residual_bps", "be_queue_delay",
+    "offered_bytes", "served_bytes", "lost_bytes",
+)
+
+
+def cohort_world(caps, governor_delay, initial, ops, spelled_out):
+    """Run one cohort program; with ``spelled_out`` every cohort of k
+    becomes k consecutive ``count=1`` flows named ``<cohort>#<j>``.
+
+    Returns a snapshot of every member and link figure (as float hex,
+    so equality is bit equality) after each op's epoch and at the end.
+    """
+    kernel = Kernel()
+    engine = FluidEngine(kernel, quantum=QUANTUM,
+                         governor_delay=governor_delay)
+    links = {name: engine.add_link(name, cap)
+             for name, cap in zip(LINK_NAMES, caps)}
+    live = []  # (cohort name, members), insertion order
+    snapshots = []
+
+    def members(name, k):
+        return [f"{name}#{j}" for j in range(k)] if spelled_out else [name]
+
+    def add(spec):
+        rate, reserved, adaptive, path, k, deadline = spec
+        name = f"c{len(snapshots)}-{len(live)}"
+        for flow_name in members(name, k):
+            engine.add_flow(flow_name, rate, [links[hop] for hop in path],
+                            reserved=reserved, adaptive=adaptive,
+                            deadline=deadline,
+                            count=1 if spelled_out else k)
+        live.append((name, k))
+
+    def apply(op):
+        kind = op[0]
+        if kind == "add":
+            add(op[1])
+        elif kind in ("remove", "set_rate") and live:
+            name, k = live[op[1] % len(live)]
+            for flow_name in members(name, k):
+                if kind == "remove":
+                    engine.remove_flow(flow_name)
+                else:
+                    engine.set_rate(flow_name, op[2])
+            if kind == "remove":
+                live.remove((name, k))
+        elif kind == "fault":
+            links[op[1]].on_link_state(op[2])
+        elif kind == "packet_load":
+            links[op[1]].register_packet_load(op[2], reserved=op[3])
+
+    def snapshot():
+        figures = [engine.epochs, engine.governor_transitions,
+                   kernel.events_executed]
+        for name, k in live:
+            flows = [engine.flow(flow_name)
+                     for flow_name in members(name, k)]
+            # Every spelled-out member carries the cohort's figures.
+            figures.append([[getattr(flow, field).hex()
+                             for field in FLOW_FIELDS] for flow in flows]
+                           if spelled_out else
+                           [[getattr(flows[0], field).hex()
+                             for field in FLOW_FIELDS]] * k)
+        for link in engine.links():
+            figures.append([getattr(link, field).hex()
+                            for field in LINK_FIELDS])
+        snapshots.append(figures)
+
+    for spec in initial:
+        add(spec)
+    t = 0.0
+    for delay, op in ops:
+        t += delay
+        kernel.schedule_at(t, apply, op)
+        kernel.schedule_at(t + 2 * QUANTUM, snapshot)
+    kernel.run(until=t + 2.0)
+    engine.finalize()
+    snapshot()
+    return snapshots
+
+
+@given(
+    st.lists(CAPACITY, min_size=3, max_size=3),
+    st.sampled_from((0.0, 0.5)),
+    st.lists(COHORT, min_size=1, max_size=5),
+    COHORT_OPS,
+)
+@settings(max_examples=80, deadline=None)
+def test_prop_cohort_equals_consecutive_single_flows(caps, governor_delay,
+                                                     initial, ops):
+    """A ``count=k`` cohort and k consecutive single flows leave every
+    flow and link ledger, share, latency, the epoch count and the
+    governor transition count bit-identical, through link fail/restore,
+    rate changes and either governor delay."""
+    cohorts = cohort_world(caps, governor_delay, initial, ops, False)
+    singles = cohort_world(caps, governor_delay, initial, ops, True)
+    assert cohorts == singles

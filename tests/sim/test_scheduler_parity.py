@@ -12,7 +12,7 @@ Each scenario family runs here at a scaled-down duration (the full
 figures belong to ``benchmarks/``); the suite still exercises every
 code path that schedules events — priority lanes, network and CPU
 reservation, fault injection and recovery, the capacity farm's
-FrameClock, the soak harness's invariant checkers, and all four
+frame clock, the soak harness's invariant checkers, and all four
 ablations.
 
 This file also pins the tie-break rules themselves:
@@ -216,7 +216,7 @@ def test_coalesced_ties_preserve_registration_order(backend):
 def test_worker_fanout_parity(monkeypatch, jobs, tmp_path):
     """``--jobs 1`` and ``--jobs 4`` produce identical payloads.
 
-    The capacity farm leans hardest on the FrameClock/coalescing path,
+    The capacity farm leans hardest on the frame-clock/coalescing path,
     so its arms are the sharpest probe that worker fan-out cannot
     perturb tie-breaking.  Both runs execute with the cache disabled;
     the reference bytes are stored per-test-session by parametrization
