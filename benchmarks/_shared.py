@@ -4,8 +4,9 @@ Every benchmark regenerates one of the paper's tables or figures,
 writes the paper-style rendering to ``results/<name>.txt``, prints it,
 and asserts the qualitative shape criteria recorded in EXPERIMENTS.md.
 
-Benchmarks describe their independent simulation arms as
-:class:`~repro.experiments.runner.RunSpec`\\ s and execute them through
+Benchmarks take their independent simulation arms from
+:func:`repro.experiments.scenario_registry.figure_specs` and their text
+from the figure's declared renderer, and execute the arms through
 :func:`run_figure`, which fans them across the shared parallel
 :class:`~repro.experiments.runner.ExperimentRunner` (worker count from
 ``REPRO_JOBS``, default: CPU count; result cache controlled by
@@ -23,7 +24,7 @@ import tempfile
 import time
 from typing import Any, Dict, List, Sequence
 
-from repro.experiments.runner import ExperimentRunner, RunSpec
+from repro.experiments.runner import ExperimentRunner, RunSpec, bench_entry
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 BENCH_PATH = (
@@ -82,14 +83,6 @@ def run_figure(name: str, specs: Sequence[RunSpec]) -> List[Any]:
     runner = shared_runner()
     started = time.perf_counter()
     results = runner.run(list(specs))
-    wall = time.perf_counter() - started
-    events = sum(r.events for r in results)
-    BENCH_ENTRIES[name] = {
-        "wall_seconds": round(wall, 4),
-        "events": events,
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
-        "runs": len(results),
-        "cache_hits": sum(1 for r in results if r.cached),
-        "workers": runner.jobs,
-    }
+    BENCH_ENTRIES[name] = bench_entry(
+        results, time.perf_counter() - started, runner.jobs)
     return [r.payload for r in results]

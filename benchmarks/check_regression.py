@@ -9,6 +9,10 @@ Compares each figure's ``wall_seconds`` in CURRENT against BASELINE
 and exits non-zero if any figure regressed by more than ``--factor``.
 Figures present in only one file are reported but never fail the gate
 (new figures have no baseline; retired figures have no current run).
+Only CURRENT entries marked ``"fresh": true`` -- measured by the run
+that wrote the file -- count as current; an entry carried over from an
+earlier run is reported as not measured and cannot satisfy
+``--require`` or ``--min-rate``.
 Cache-served figures are skipped — a ``wall_seconds`` measured with
 cache hits says nothing about simulator speed.
 
@@ -47,8 +51,9 @@ def main(argv=None) -> int:
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
                         help="fail unless NAME was measured in the current "
-                             "run (repeatable); catches a figure silently "
-                             "dropping out of the benchmark suite")
+                             "run, i.e. its entry is fresh (repeatable); "
+                             "catches a figure silently dropping out of "
+                             "the benchmark suite")
     parser.add_argument("--min-rate", action="append", default=[],
                         metavar="NAME=RATE",
                         help="fail if NAME's events_per_sec in the current "
@@ -71,19 +76,21 @@ def main(argv=None) -> int:
 
     baseline = load(args.baseline)
     current = load(args.current)
+    fresh = {name: entry for name, entry in current.items()
+             if isinstance(entry, dict) and entry.get("fresh") is True}
     failures = []
     for name in args.require:
-        if name not in current:
-            print(f"  required figure missing from current run: {name}",
+        if name not in fresh:
+            print(f"  required figure not measured in current run: {name}",
                   file=sys.stderr)
             failures.append(name)
     for name, floor in sorted(floors.items()):
-        if name not in current:
-            print(f"  --min-rate figure missing from current run: {name}",
-                  file=sys.stderr)
+        if name not in fresh:
+            print(f"  --min-rate figure not measured in current run: "
+                  f"{name}", file=sys.stderr)
             failures.append(name)
             continue
-        entry = current[name]
+        entry = fresh[name]
         if entry.get("cache_hits", 0):
             print(f"  {name}: rate check skipped "
                   f"({entry['cache_hits']}/{entry.get('runs')} "
@@ -95,15 +102,15 @@ def main(argv=None) -> int:
               f"{verdict}")
         if rate < floor:
             failures.append(name)
-    for name in sorted(set(baseline) | set(current)):
+    for name in sorted(set(baseline) | set(fresh)):
         if name not in baseline:
             print(f"  new figure (no baseline): {name}")
             continue
-        if name not in current:
-            print(f"  missing from current run: {name}")
+        if name not in fresh:
+            print(f"  not measured in current run: {name}")
             continue
         base_wall = float(baseline[name].get("wall_seconds", 0.0))
-        cur = current[name]
+        cur = fresh[name]
         cur_wall = float(cur.get("wall_seconds", 0.0))
         if cur.get("cache_hits", 0):
             print(f"  {name}: skipped ({cur['cache_hits']}/{cur.get('runs')} "

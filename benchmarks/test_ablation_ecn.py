@@ -7,40 +7,21 @@ queue (hurting every interactive request sharing the path), while
 RED+ECN holds the queue near its thresholds at nearly the same
 throughput.
 
-The arm itself lives in :mod:`repro.experiments.ablations`; this file
-renders and asserts over its payload.
+The arm and its renderer live in :mod:`repro.experiments.ablations`;
+this file asserts over its payloads.
 """
 
-from repro.experiments.reporting import render_table
-from repro.experiments.runner import RunSpec
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-
-def run_both():
-    fifo, red = run_figure("ablation_ecn", [
-        RunSpec("ablation_ecn", {"use_red": False}),
-        RunSpec("ablation_ecn", {"use_red": True}),
-    ])
-    return {"tail-drop FIFO": fifo, "RED + ECN": red}
+NAME = "ablation_ecn"
 
 
 def test_ablation_ecn(benchmark):
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = [
-        (name,
-         r["max_queue"],
-         f"{r['mean_probe_rtt'] * 1e3:.1f} ms",
-         f"{r['worst_probe_rtt'] * 1e3:.1f} ms",
-         f"{r['bulk_throughput_mbps']:.2f} Mbps",
-         r["marked"], r["dropped"])
-        for name, r in results.items()
-    ]
-    publish("ablation_ecn", render_table(
-        ("bottleneck qdisc", "max queue (pkts)", "probe RTT (mean)",
-         "probe RTT (worst)", "bulk throughput", "ECN marks", "drops"),
-        rows))
-    fifo, red = results["tail-drop FIFO"], results["RED + ECN"]
+    fifo, red = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render([fifo, red]))
     # RED+ECN keeps the standing queue about an order of magnitude
     # shorter, which interactive probes feel directly...
     assert red["max_queue"] < fifo["max_queue"] / 3

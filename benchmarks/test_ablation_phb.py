@@ -5,38 +5,22 @@ flow under the same congestion, with the only difference being whether
 the bottleneck queue honours DSCPs.  With FIFO, marking is ink on a
 dead letter; with the DiffServ PHB it is the whole ballgame.
 
-The arm itself lives in :mod:`repro.experiments.ablations`; this file
-renders and asserts over its payload.
+The arm and its renderer live in :mod:`repro.experiments.ablations`;
+this file asserts over its payloads.
 """
 
-from repro.experiments.reporting import render_table
-from repro.experiments.runner import RunSpec
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-
-def run_both():
-    payloads = run_figure("ablation_phb", [
-        RunSpec("ablation_phb", {"diffserv": False}),
-        RunSpec("ablation_phb", {"diffserv": True}),
-    ])
-    return payloads[0]["recorder"], payloads[1]["recorder"]
+NAME = "ablation_phb"
 
 
 def test_ablation_phb(benchmark):
-    fifo, diffserv = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = []
-    for name, recorder in (("FIFO", fifo), ("DiffServ strict-priority",
-                                            diffserv)):
-        stats = recorder.latency.stats()
-        rows.append((
-            name,
-            f"{recorder.delivery_fraction() * 100:.1f}%",
-            f"{stats.mean * 1e3:.1f} ms",
-            f"{stats.std * 1e3:.1f} ms",
-        ))
-    publish("ablation_phb", render_table(
-        ("bottleneck qdisc", "delivered", "mean latency", "std"), rows))
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
+    fifo, diffserv = (payload["recorder"] for payload in payloads)
 
     # EF marking is useless without an honouring PHB...
     assert fifo.delivery_fraction() < 0.7

@@ -14,44 +14,23 @@ allocation policies are compared under saturating background load:
 Only the priority-driven allocation keeps the critical task's
 deadlines once capacity runs out.
 
-The arm itself lives in :mod:`repro.experiments.ablations`; this file
-renders and asserts over its payload.
+The arm and its renderer live in :mod:`repro.experiments.ablations`;
+this file asserts over its payloads.
 """
 
-from repro.experiments.ablations import (
-    PRIORITY_DRIVEN_TASKS as TASKS,
-    deadline_misses,
-)
-from repro.experiments.reporting import render_table
-from repro.experiments.runner import RunSpec
+from repro.experiments.ablations import deadline_misses
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-
-def run_both():
-    arrival, prioritized = run_figure("ablation_priority_driven_reservation", [
-        RunSpec("ablation_priority_driven", {"priority_driven": False}),
-        RunSpec("ablation_priority_driven", {"priority_driven": True}),
-    ])
-    return arrival["response"], prioritized["response"]
+NAME = "ablation_priority_driven_reservation"
 
 
 def test_ablation_priority_driven_reservation(benchmark):
-    arrival, prioritized = benchmark.pedantic(run_both, rounds=1,
-                                              iterations=1)
-    rows = []
-    for policy_name, response in (("arrival order", arrival),
-                                  ("priority order", prioritized)):
-        for task, _, _ in TASKS:
-            stats = response[task].stats()
-            rows.append((
-                policy_name, task, stats.count,
-                f"{stats.mean * 1e3:.0f} ms",
-                deadline_misses(response[task]),
-            ))
-    publish("ablation_priority_driven_reservation", render_table(
-        ("allocation", "task", "jobs", "mean response", "deadline misses"),
-        rows))
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
+    arrival, prioritized = (payload["response"] for payload in payloads)
 
     # Arrival order starves the late-arriving critical task...
     assert deadline_misses(arrival["navigation"]) > 5

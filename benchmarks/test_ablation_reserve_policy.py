@@ -7,42 +7,26 @@ ordinary competition when its budget is spent, while a HARD reserve
 suspends — protecting background work from reservation overruns at the
 cost of reserved-task throughput.
 
-The arm itself lives in :mod:`repro.experiments.ablations`; this file
-renders and asserts over its payload.
+The arm and its renderer live in :mod:`repro.experiments.ablations`;
+this file asserts over its payloads.
 """
 
 from repro.experiments.ablations import (
     RESERVE_POLICY_DURATION as DURATION,
     RESERVE_POLICY_PARAMS as RESERVE,
 )
-from repro.experiments.reporting import render_table
-from repro.experiments.runner import RunSpec
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-
-def run_both():
-    hard, soft = run_figure("ablation_reserve_policy", [
-        RunSpec("ablation_reserve_policy", {"policy": "HARD"}),
-        RunSpec("ablation_reserve_policy", {"policy": "SOFT"}),
-    ])
-    return {"HARD": hard, "SOFT": soft}
+NAME = "ablation_reserve_policy"
 
 
 def test_ablation_reserve_policy(benchmark):
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = [
-        (name,
-         f"{r['reserved_cpu'] / DURATION * 100:.1f}%",
-         f"{r['background_cpu'] / DURATION * 100:.1f}%")
-        for name, r in results.items()
-    ]
-    publish("ablation_reserve_policy", render_table(
-        ("enforcement", "reserved-task CPU share", "background CPU share"),
-        rows))
+    hard, soft = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render([hard, soft]))
 
-    hard = results["HARD"]
-    soft = results["SOFT"]
     utilization = RESERVE["compute"] / RESERVE["period"]
     # HARD: the reserved task gets exactly its reservation, no more.
     assert abs(hard["reserved_cpu"] / DURATION - utilization) < 0.02

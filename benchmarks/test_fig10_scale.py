@@ -13,21 +13,18 @@ rejected class toward what fits, and a single flooding tenant cannot
 displace anyone else's admissions.
 """
 
-from collections import defaultdict
-
-from repro.experiments.scenario_registry import figure_specs
+from repro.experiments.reporting import group_sweeps
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 from repro.scale.capacity_exp import (
     RESERVE_BPS,
     UTILIZATION_BOUND,
     VIDEO_FPS,
 )
-from repro.scale.fig10 import (
-    SCALE_BOTTLENECK_BPS,
-    SCALE_TENANTS,
-    render_fig10_scale,
-)
+from repro.scale.fig10 import SCALE_BOTTLENECK_BPS, SCALE_TENANTS
 
 from _shared import BENCH_ENTRIES, publish, run_figure
+
+NAME = "fig10_scale"
 
 #: Per-tenant reserve pool at the fig 10 defaults...
 TENANT_POOL_BPS = SCALE_BOTTLENECK_BPS * UTILIZATION_BOUND / SCALE_TENANTS
@@ -36,20 +33,11 @@ PER_TENANT_CAP = int(TENANT_POOL_BPS / RESERVE_BPS)
 SATURATION_ADMITTED = PER_TENANT_CAP * SCALE_TENANTS
 
 
-def run_sweeps():
-    specs = figure_specs()["fig10_scale"]
-    payloads = run_figure("fig10_scale", specs)
-    sweeps = defaultdict(list)
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    for results in sweeps.values():
-        results.sort(key=lambda r: r.streams)
-    return dict(sweeps)
-
-
 def test_fig10_scale(benchmark):
-    sweeps = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
-    publish("fig10_scale", render_fig10_scale(sweeps))
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
+    sweeps = group_sweeps(payloads, "streams")
 
     def at(arm, streams):
         return next(r for r in sweeps[arm] if r.streams == streams)

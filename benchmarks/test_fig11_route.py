@@ -15,66 +15,21 @@ traffic parked on the predicted detour.  The four arms cross
   restores the guaranteed-rate lane at essentially full frame rate.
 """
 
-from repro.experiments.reporting import (
-    render_cumulative_delivery,
-    render_table,
-)
-from repro.experiments.route_exp import route_arms
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import route_arm_params
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-DURATION = 40.0
-ROUTERS = 56
-SEED = 1
-ARMS = route_arms()
-
-
-def run_arms():
-    payloads = run_figure("fig11_route", [
-        RunSpec("route",
-                {"arm": route_arm_params(arm), "routers": ROUTERS,
-                 "duration": DURATION}, seed=SEED)
-        for arm in ARMS
-    ])
-    return {arm.name: payload for arm, payload in zip(ARMS, payloads)}
+NAME = "fig11_route"
 
 
 def test_fig11_route(benchmark):
-    arms = benchmark.pedantic(run_arms, rounds=1, iterations=1)
-    first = next(iter(arms.values()))
-    summary = render_table(
-        ("arm", "pre-fail fps", "recovery fps", "spf runs", "lsas",
-         "resignals", "unroutable"),
-        [(name,
-          f"{result.pre_fail_fps():.2f}",
-          f"{result.recovery_rate_fps():.2f}",
-          result.spf_runs, result.lsas_flooded,
-          result.resignal_rounds, result.unroutable_drops)
-         for name, result in arms.items()])
-    sections = ["\n".join([
-        f"Fig 11 — rerouting gauntlet ({first.router_count}-router "
-        f"{first.topology}, {first.link_count} links)",
-        f"primary path: {' -> '.join(first.primary_path)}",
-        f"backbone cut at t={first.fail_at:g}s: "
-        f"{first.backbone[0]}-{first.backbone[1]}; cross traffic on "
-        f"{first.detour_edge[0]}-{first.detour_edge[1]}",
-        summary,
-    ])]
-    for name, result in arms.items():
-        sections.append(render_cumulative_delivery(
-            f"cumulative delivery — {name}",
-            result.cumulative_counts(bin_width=4.0)))
-    publish("fig11_route", "\n\n".join(sections))
-
-    static = arms["static"]
-    static_resignal = arms["static-resignal"]
-    dynamic = arms["dynamic"]
-    dynamic_resignal = arms["dynamic-resignal"]
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
+    static, static_resignal, dynamic, dynamic_resignal = payloads
 
     # Every arm starts from the same converged tables: full rate in.
-    for result in arms.values():
+    for result in payloads:
         assert result.pre_fail_fps() > 28.0
     # Static tables cannot route around the cut — with or without
     # re-signaling, delivery collapses and stays collapsed.
@@ -92,5 +47,5 @@ def test_fig11_route(benchmark):
     assert (dynamic_resignal.recovery_rate_fps()
             > dynamic.recovery_rate_fps())
     # Transient unroutable drops (if any) are accounted, never negative.
-    for result in arms.values():
+    for result in payloads:
         assert result.unroutable_drops >= 0

@@ -26,9 +26,8 @@ aggregates).  Headline separation:
   strongest *reachable* writer and everything re-arbitrates on heal.
 """
 
-from collections import defaultdict
-
-from repro.experiments.scenario_registry import figure_specs
+from repro.experiments.reporting import group_sweeps
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 from repro.pubsub.fig12 import (
     ADAPT_LADDER,
     LATE_JOIN_FRACTION,
@@ -36,30 +35,22 @@ from repro.pubsub.fig12 import (
     MEASURED_PER_TOPIC,
     TOPIC_RATE_HZ,
     TOPICS,
-    render_fig12_pubsub,
 )
 
 from _shared import BENCH_ENTRIES, publish, run_figure
+
+NAME = "fig12_pubsub"
 
 MEASURED = TOPICS * MEASURED_PER_TOPIC
 #: The contracted floor: the deepest ladder rung still delivers this.
 FLOOR_FPS = TOPIC_RATE_HZ / ADAPT_LADDER[-1]
 
 
-def run_sweeps():
-    specs = figure_specs()["fig12_pubsub"]
-    payloads = run_figure("fig12_pubsub", specs)
-    sweeps = defaultdict(list)
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    for results in sweeps.values():
-        results.sort(key=lambda r: r.subscribers)
-    return dict(sweeps)
-
-
 def test_fig12_pubsub(benchmark):
-    sweeps = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
-    publish("fig12_pubsub", render_fig12_pubsub(sweeps))
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
+    sweeps = group_sweeps(payloads, "subscribers")
 
     def at(arm, subs):
         return next(r for r in sweeps[arm] if r.subscribers == subs)

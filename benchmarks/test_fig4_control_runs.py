@@ -6,44 +6,17 @@ degrade significantly.  Latency fluctuates widely between a few
 milliseconds to over a second for both streams."
 """
 
-from repro.experiments.priority_exp import PriorityArm
-from repro.experiments.reporting import render_latency_table, render_series
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import priority_arm_params
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-DURATION = 30.0
-SEED = 1
-
-
-def run_both():
-    return run_figure("fig4_control_runs", [
-        RunSpec("priority",
-                {"arm": priority_arm_params(PriorityArm.figure4a()),
-                 "duration": DURATION}, seed=SEED),
-        RunSpec("priority",
-                {"arm": priority_arm_params(PriorityArm.figure4b()),
-                 "duration": DURATION}, seed=SEED),
-    ])
+NAME = "fig4_control_runs"
 
 
 def test_fig4_control_runs(benchmark):
-    idle, congested = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    table = render_latency_table({
-        "fig4a (idle)": {
-            name: idle.stats(name) for name in ("sender1", "sender2")
-        },
-        "fig4b (16 Mbps cross)": {
-            name: congested.stats(name) for name in ("sender1", "sender2")
-        },
-    })
-    series_a = render_series(
-        "fig4a sender1 latency (binned mean)", idle.series("sender1", 1.0))
-    series_b = render_series(
-        "fig4b sender1 latency (binned mean)",
-        congested.series("sender1", 1.0))
-    publish("fig4_control_runs", f"{table}\n\n{series_a}\n\n{series_b}")
+    idle, congested = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render([idle, congested]))
 
     # (a): low, flat, symmetric.
     for name in ("sender1", "sender2"):

@@ -9,44 +9,17 @@ Paper timeline: 300 s of video, a 43.8 Mbps load burst from t=60 s to
 t=120 s.
 """
 
-from repro.experiments.reservation_net_exp import NetworkArm
-from repro.experiments.reporting import render_cumulative_delivery
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import network_arm_params
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-TIMELINE = dict(duration=300.0, load_start=60.0, load_end=120.0)
-SEED = 1
-CASES = [
-    ("no adaptation", NetworkArm("1-none", None, False)),
-    ("partial resv + frame filtering",
-     NetworkArm("5-partial-filtering", "partial", True)),
-    ("full reservation", NetworkArm("3-full", "full", False)),
-]
-
-
-def run_cases():
-    payloads = run_figure("fig7_frame_delivery", [
-        RunSpec("reservation_net",
-                {"arm": network_arm_params(arm), **TIMELINE}, seed=SEED)
-        for _, arm in CASES
-    ])
-    return {label: payload
-            for (label, _), payload in zip(CASES, payloads)}
+NAME = "fig7_frame_delivery"
 
 
 def test_fig7_frame_delivery(benchmark):
-    cases = benchmark.pedantic(run_cases, rounds=1, iterations=1)
-    sections = []
-    for label, result in cases.items():
-        sections.append(render_cumulative_delivery(
-            f"Fig 7 — {label}", result.cumulative_counts(bin_width=20.0)))
-    publish("fig7_frame_delivery", "\n\n".join(sections))
-
-    none = cases["no adaptation"]
-    partial = cases["partial resv + frame filtering"]
-    full = cases["full reservation"]
+    none, partial, full = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render([none, partial, full]))
 
     # "With no adaptation, almost all of the frames sent while the
     # system was under load were lost."

@@ -12,56 +12,17 @@ arriving.  After the last fault clears, both arms return to full
 rate — "operating through" failures, not just congestion.
 """
 
-from repro.experiments.fault_exp import FaultArm
-from repro.experiments.reporting import (
-    render_cumulative_delivery,
-    render_table,
-)
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import fault_arm_params
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-DURATION = 120.0
-SEED = 1
-ARMS = [FaultArm("static", False), FaultArm("adaptive", True)]
-
-
-def run_arms():
-    payloads = run_figure("fig8_fault_adaptation", [
-        RunSpec("faults",
-                {"arm": fault_arm_params(arm), "duration": DURATION},
-                seed=SEED)
-        for arm in ARMS
-    ])
-    return {arm.name: payload for arm, payload in zip(ARMS, payloads)}
+NAME = "fig8_fault_adaptation"
 
 
 def test_fig8_fault_adaptation(benchmark):
-    arms = benchmark.pedantic(run_arms, rounds=1, iterations=1)
-    sections = []
-    for name, result in arms.items():
-        mode = "on" if result.arm.adaptive else "off"
-        window_table = render_table(
-            ("fault", "start", "end", "sent", "delivered"),
-            [(label, f"{start:.1f}", f"{end:.1f}", sent, delivered)
-             for label, start, end, sent, delivered
-             in result.per_window_counts()])
-        sections.append("\n".join([
-            f"Fig 8 — {name} (adaptation {mode})",
-            window_table,
-            f"in fault windows: sent={result.sent_in_fault_windows()} "
-            f"delivered={result.delivered_in_fault_windows()}",
-            "post-fault recovery rate: "
-            f"{result.recovery_rate_fps(10.0):.1f} fps",
-            render_cumulative_delivery(
-                "cumulative delivery",
-                result.cumulative_counts(bin_width=10.0)),
-        ]))
-    publish("fig8_fault_adaptation", "\n\n".join(sections))
-
-    static = arms["static"]
-    adaptive = arms["adaptive"]
+    static, adaptive = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render([static, adaptive]))
 
     # Unmanaged, the stream keeps blasting 30 fps into the faults and
     # almost every frame loses at least one fragment.

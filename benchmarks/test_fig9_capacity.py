@@ -10,36 +10,27 @@ adaptation makes the rejected class shed load instead of drowning the
 bottleneck.
 """
 
-from collections import defaultdict
-
-from repro.experiments.scenario_registry import figure_specs
+from repro.experiments.reporting import group_sweeps
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 from repro.scale.capacity_exp import (
     RESERVE_BPS,
     UTILIZATION_BOUND,
     VIDEO_FPS,
-    render_fig9_capacity,
 )
 
 from _shared import publish, run_figure
+
+NAME = "fig9_capacity"
 
 #: Streams the 10 Mb/s bottleneck can carry at the 0.9 RSVP bound.
 SATURATION_ADMITTED = int(10e6 * UTILIZATION_BOUND / RESERVE_BPS)
 
 
-def run_sweeps():
-    specs = figure_specs()["fig9_capacity"]
-    payloads = run_figure("fig9_capacity", specs)
-    sweeps = defaultdict(list)
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    for results in sweeps.values():
-        results.sort(key=lambda r: r.streams)
-    return dict(sweeps)
-
-
 def test_fig9_capacity(benchmark):
-    sweeps = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
-    publish("fig9_capacity", render_fig9_capacity(sweeps))
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
+    sweeps = group_sweeps(payloads, "streams")
 
     def at(arm, streams):
         return next(r for r in sweeps[arm] if r.streams == streams)

@@ -9,44 +9,24 @@ partial reservation alone 43.9 %; full reservation ~100 % / 190 ms;
 filtered arms ~99-100 % / 171-276 ms.
 """
 
-from repro.experiments.reservation_net_exp import all_arms
-from repro.experiments.reporting import render_table1
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import network_arm_params
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 from _shared import publish, run_figure
 
-TIMELINE = dict(duration=300.0, load_start=60.0, load_end=120.0)
-SEED = 1
-
-
-def run_all():
-    arms = all_arms()
-    payloads = run_figure("table1_network_reservation", [
-        RunSpec("reservation_net",
-                {"arm": network_arm_params(arm), **TIMELINE}, seed=SEED)
-        for arm in arms
-    ])
-    return {arm.name: payload for arm, payload in zip(arms, payloads)}
+NAME = "table1_network_reservation"
 
 
 def test_table1_network_reservation(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = [
-        (name,
-         result.delivered_fraction_under_load(),
-         result.latency_under_load())
-        for name, result in results.items()
-    ]
-    jitter = [result.jitter_under_load() for result in results.values()]
-    publish("table1_network_reservation", render_table1(rows, jitter))
+    payloads = benchmark.pedantic(
+        lambda: run_figure(NAME, figure_specs()[NAME]), rounds=1, iterations=1)
+    publish(NAME, FIGURES[NAME].render(payloads))
 
     fraction = {
-        name: result.delivered_fraction_under_load()
-        for name, result in results.items()
+        result.arm.name: result.delivered_fraction_under_load()
+        for result in payloads
     }
     latency = {
-        name: result.latency_under_load() for name, result in results.items()
+        result.arm.name: result.latency_under_load() for result in payloads
     }
     # Column shape: delivery ordering across reservation levels.
     assert fraction["1-none"] < 0.05          # paper: 0.83 %

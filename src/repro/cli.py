@@ -1,8 +1,11 @@
 """Command-line experiment runner: ``python -m repro <experiment>``.
 
 Runs any of the paper's experiments with configurable parameters and
-prints the paper-style tables plus ASCII charts — the quickest way to
-poke at a scenario without writing a script.
+prints the paper-style tables — the quickest way to poke at a scenario
+without writing a script.  The figure subcommands (``fig4`` ...
+``pubsub``) are generated from the figure table in
+:mod:`repro.experiments.scenario_registry`; at default flags each
+prints exactly the text published to ``results/<figure>.txt``.
 
 Independent simulation arms fan out across a process pool (``--jobs``)
 and completed runs are served from the on-disk result cache; both are
@@ -28,7 +31,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sim.eventq import (
     DEFAULT_SCHEDULER,
@@ -36,31 +39,9 @@ from repro.sim.eventq import (
     SCHEDULER_ENV,
 )
 
-from repro.experiments.charts import ascii_cumulative, ascii_timeseries
-from repro.experiments.priority_exp import (
-    PriorityArm,
-    all_arms as priority_arms,
-    run_priority_experiment,
-)
-from repro.experiments.reservation_net_exp import all_arms as network_arms
-from repro.experiments.reservation_cpu_exp import all_arms as cpu_arms
-from repro.experiments.reporting import (
-    render_latency_table,
-    render_table1,
-    render_table2,
-)
-from repro.experiments.runner import ExperimentRunner, RunSpec
-from repro.experiments.scenario_registry import (
-    capacity_arm_params,
-    cpu_arm_params,
-    fault_arm_params,
-    figure_specs,
-    network_arm_params,
-    priority_arm_params,
-    pubsub_arm_params,
-    route_arm_params,
-    scale_arm_params,
-)
+from repro.experiments.priority_exp import PriorityArm, run_priority_experiment
+from repro.experiments.runner import ExperimentRunner, bench_entry
+from repro.experiments.scenario_registry import FIGURES, figure_specs
 
 
 def _runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -68,298 +49,37 @@ def _runner(args: argparse.Namespace) -> ExperimentRunner:
         jobs=args.jobs, cache=False if args.no_cache else None)
 
 
-def _cmd_priority(args: argparse.Namespace, arms: List[PriorityArm]) -> int:
-    print(f"running {', '.join(arm.name for arm in arms)} "
-          f"({args.duration:.0f}s simulated) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("priority",
-                {"arm": priority_arm_params(arm), "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    results = {arm.name: payload for arm, payload in zip(arms, payloads)}
-    print(render_latency_table({
-        name: {s: result.stats(s) for s in ("sender1", "sender2")}
-        for name, result in results.items()
-    }))
-    if args.chart:
-        for name, result in results.items():
-            samples = list(zip(result.latency["sender1"].series.times,
-                               result.latency["sender1"].series.values))
-            print()
-            print(ascii_timeseries(f"{name} / sender1 latency", samples))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, [PriorityArm.figure4a(),
-                                PriorityArm.figure4b()])
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, [PriorityArm.figure5a(),
-                                PriorityArm.figure5b()])
-
-
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, [PriorityArm.figure5b(),
-                                PriorityArm.figure6()])
-
-
-def _cmd_all_priority(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, priority_arms())
-
-
-def _network_arm(name: Optional[str]):
-    chosen = network_arms()
-    if name is None:
-        return chosen
-    matches = [arm for arm in chosen if arm.name == name]
-    if not matches:
-        names = ", ".join(arm.name for arm in chosen)
-        raise SystemExit(f"unknown arm {name!r}; choose from: {names}")
-    return matches
-
-
-def _network_specs(args: argparse.Namespace, arms) -> List[RunSpec]:
-    return [
-        RunSpec("reservation_net",
-                {"arm": network_arm_params(arm), "duration": args.duration,
-                 "load_start": args.load_start, "load_end": args.load_end},
-                seed=args.seed)
-        for arm in arms
-    ]
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    arms = _network_arm(args.arm)
-    print(f"running {', '.join(arm.name for arm in arms)} ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads(_network_specs(args, arms))
-    rows = [
-        (arm.name,
-         result.delivered_fraction_under_load(),
-         result.latency_under_load())
-        for arm, result in zip(arms, payloads)
-    ]
-    print(render_table1(rows))
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    arms = _network_arm(args.arm)
-    print(f"running {', '.join(arm.name for arm in arms)} ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads(_network_specs(args, arms))
-    for arm, result in zip(arms, payloads):
-        rows = result.cumulative_counts(bin_width=args.duration / 30)
-        print()
-        print(ascii_cumulative(f"Fig 7 — {arm.name}", rows))
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Fig 8: frame delivery under injected faults, both chaos arms."""
-    from repro.experiments.fault_exp import FaultArm
-
-    arms = [FaultArm("static", False), FaultArm("adaptive", True)]
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    print(f"running {', '.join(arm.name for arm in arms)} "
-          f"({args.duration:.0f}s simulated) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("faults",
-                {"arm": fault_arm_params(arm), "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    for arm, result in zip(arms, payloads):
-        print()
-        print(f"== {arm.name} "
-              f"(adaptation {'on' if arm.adaptive else 'off'}) ==")
-        header = (f"{'fault':<28} {'start':>7} {'end':>7} "
-                  f"{'sent':>6} {'delivered':>9}")
-        print(header)
-        print("-" * len(header))
-        for label, start, end, sent, got in result.per_window_counts():
-            print(f"{label:<28} {start:>7.1f} {end:>7.1f} "
-                  f"{sent:>6} {got:>9}")
-        in_sent = result.sent_in_fault_windows()
-        in_got = result.delivered_in_fault_windows()
-        print(f"{'all fault windows':<28} {'':>7} {'':>7} "
-              f"{in_sent:>6} {in_got:>9}")
-        print(f"post-fault recovery rate: "
-              f"{result.recovery_rate_fps(5.0):.1f} fps "
-              f"(faults reported: {result.faults_reported})")
-        if args.chart:
-            rows = result.cumulative_counts(bin_width=args.duration / 30)
-            print()
-            print(ascii_cumulative(f"Fig 8 — {arm.name}", rows))
-    return 0
-
-
-def _cmd_route(args: argparse.Namespace) -> int:
-    """Fig 11: fps held through a backbone cut, four recovery arms."""
-    from repro.experiments.route_exp import route_arms
-
-    arms = route_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    print(f"running {', '.join(arm.name for arm in arms)} on a "
-          f"{args.routers}-router {args.topology} topology "
-          f"({args.duration:.0f}s simulated) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("route",
-                {"arm": route_arm_params(arm), "routers": args.routers,
-                 "topology": args.topology, "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    first = payloads[0]
-    print(f"topology: {first.topology}, {first.router_count} routers, "
-          f"{first.link_count} links")
-    print(f"primary path: {' -> '.join(first.primary_path)}")
-    print(f"backbone cut at t={first.fail_at:g}s: "
-          f"{first.backbone[0]}-{first.backbone[1]} "
-          f"(cross traffic on {first.detour_edge[0]}-"
-          f"{first.detour_edge[1]})")
-    print()
-    header = (f"{'arm':<20} {'pre-fail fps':>12} {'recovery fps':>12} "
-              f"{'spf':>5} {'lsas':>6} {'resig':>5} {'unroutable':>10}")
-    print(header)
-    print("-" * len(header))
-    for arm, result in zip(arms, payloads):
-        print(f"{arm.name:<20} {result.pre_fail_fps():>12.2f} "
-              f"{result.recovery_rate_fps():>12.2f} "
-              f"{result.spf_runs:>5} {result.lsas_flooded:>6} "
-              f"{result.resignal_rounds:>5} {result.unroutable_drops:>10}")
-    if args.chart:
-        for arm, result in zip(arms, payloads):
-            rows = result.cumulative_counts(bin_width=args.duration / 30)
-            print()
-            print(ascii_cumulative(f"Fig 11 — {arm.name}", rows))
-    return 0
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    """Fig 9: the multi-stream capacity sweep behind admission control."""
-    from repro.scale.capacity_exp import all_arms, render_fig9_capacity
-
-    arms = all_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
+def _counts(text: str) -> Tuple[int, ...]:
+    """A ``--streams``/``--subscribers`` value: sorted distinct counts."""
     try:
-        counts = sorted({int(part) for part in args.streams.split(",")
+        counts = sorted({int(part) for part in text.split(",")
                          if part.strip()})
     except ValueError:
-        raise SystemExit(f"bad --streams value {args.streams!r}; expected "
-                         "a comma-separated list of stream counts")
+        counts = []
     if not counts or counts[0] < 1:
-        raise SystemExit("--streams needs at least one positive count")
-    print(f"running {', '.join(arm.name for arm in arms)} x "
-          f"N={{{', '.join(str(c) for c in counts)}}} "
-          f"({args.duration:.0f}s simulated each) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("capacity",
-                {"arm": capacity_arm_params(arm), "streams": count,
-                 "duration": args.duration}, seed=args.seed)
-        for arm in arms for count in counts
-    ])
-    sweeps = {arm.name: [] for arm in arms}
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    print(render_fig9_capacity(sweeps))
-    return 0
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of positive counts, "
+            f"got {text!r}")
+    return tuple(counts)
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    """Fig 10: the hybrid fluid/packet scale sweep (10^2..10^5 streams)."""
-    from repro.scale.fig10 import render_fig10_scale, scale_arms
-
-    arms = scale_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    try:
-        counts = sorted({int(part) for part in args.streams.split(",")
-                         if part.strip()})
-    except ValueError:
-        raise SystemExit(f"bad --streams value {args.streams!r}; expected "
-                         "a comma-separated list of stream counts")
-    if not counts or counts[0] < 1:
-        raise SystemExit("--streams needs at least one positive count")
-    mode = "hybrid fluid/packet" if not args.packet_level else "pure packet"
-    print(f"running {', '.join(arm.name for arm in arms)} x "
-          f"N={{{', '.join(str(c) for c in counts)}}} "
-          f"({mode}, {args.duration:.0f}s simulated each) ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("scale",
-                {"arm": scale_arm_params(arm), "streams": count,
-                 "duration": args.duration,
-                 "fluid": not args.packet_level}, seed=args.seed)
-        for arm in arms for count in counts
-    ])
-    sweeps = {arm.name: [] for arm in arms}
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    print(render_fig10_scale(sweeps))
-    return 0
-
-
-def _cmd_pubsub(args: argparse.Namespace) -> int:
-    """Fig 12: the declarative-QoS pub-sub fan-out gauntlet."""
-    from repro.pubsub.fig12 import pubsub_arms, render_fig12_pubsub
-
-    arms = pubsub_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    try:
-        counts = sorted({int(part) for part in args.subscribers.split(",")
-                         if part.strip()})
-    except ValueError:
-        raise SystemExit(f"bad --subscribers value {args.subscribers!r}; "
-                         "expected a comma-separated list of counts")
-    if not counts or counts[0] < 1:
-        raise SystemExit("--subscribers needs at least one positive count")
-    print(f"running {', '.join(arm.name for arm in arms)} x "
-          f"M={{{', '.join(str(c) for c in counts)}}} "
-          f"({args.duration:.0f}s simulated each) ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("pubsub",
-                {"arm": pubsub_arm_params(arm), "subscribers": count,
-                 "duration": args.duration}, seed=args.seed)
-        for arm in arms for count in counts
-    ])
-    sweeps = {arm.name: [] for arm in arms}
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    print(render_fig12_pubsub(sweeps))
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """Run one declared figure and print its published rendering."""
+    figure = FIGURES[args.figure]
+    arms = [arm for arm in figure.arms
+            if args.arm is None or arm.name == args.arm]
+    if not arms:
+        names = ", ".join(arm.name for arm in figure.arms)
+        raise SystemExit(f"unknown arm {args.arm!r}; choose from: {names}")
+    sweep = figure.family.sweep
+    counts = getattr(args, sweep) if sweep else ()
+    overrides = {key: getattr(args, key) for key in args.params
+                 if getattr(args, key) is not None}
+    points = f" x {sweep}={','.join(map(str, counts))}" if sweep else ""
+    print(f"running {', '.join(arm.name for arm in arms)}{points} "
+          f"({args.duration:g}s simulated) ...", file=sys.stderr)
+    specs = figure.specs(arms, counts, seed=args.seed, **overrides)
+    print(figure.render(_runner(args).payloads(specs)))
     return 0
 
 
@@ -442,23 +162,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(breakdown.render())
     tracer.close()
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    arms = cpu_arms()
-    print(f"running {', '.join(arm.name for arm in arms)} ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("reservation_cpu",
-                {"arm": cpu_arm_params(arm), "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    print(render_table2({
-        arm.name: result.algorithm_stats
-        for arm, result in zip(arms, payloads)
-    }))
     return 0
 
 
@@ -554,15 +257,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             results = runner.run(specs)
         wall = time.perf_counter() - started
         total_wall += wall
-        events = sum(r.events for r in results)
-        entries[name] = {
-            "wall_seconds": round(wall, 4),
-            "events": events,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-            "runs": len(results),
-            "cache_hits": sum(1 for r in results if r.cached),
-            "workers": runner.jobs,
-        }
+        entries[name] = bench_entry(results, wall, runner.jobs)
     header = f"{'figure':<40} {'wall':>8} {'events/s':>10} {'hits':>5}"
     print(header)
     print("-" * len(header))
@@ -603,87 +298,34 @@ def build_parser() -> argparse.ArgumentParser:
                              "the experiment")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, duration):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--duration", type=float, default=duration,
-                       help=f"simulated seconds (default {duration:g})")
-        p.set_defaults(func=func)
-        return p
-
-    for name, func, help_text in (
-        ("fig4", _cmd_fig4, "control runs (idle vs congested)"),
-        ("fig5", _cmd_fig5, "thread priorities alone"),
-        ("fig6", _cmd_fig6, "thread priorities + DSCP"),
-        ("priority-all", _cmd_all_priority, "all five section 5.1 arms"),
-    ):
-        p = add(name, func, help_text, 30.0)
-        p.add_argument("--chart", action="store_true",
-                       help="also draw ASCII latency charts")
-
-    for name, func in (("table1", _cmd_table1), ("fig7", _cmd_fig7)):
-        p = add(name, func, "network reservation experiment", 300.0)
-        p.add_argument("--load-start", type=float, default=60.0)
-        p.add_argument("--load-end", type=float, default=120.0)
+    for figure in FIGURES.values():
+        if figure.command is None:
+            continue
+        family = figure.family
+        p = sub.add_parser(figure.command, help=figure.help)
+        params = []
+        for key, value in {**family.params, **figure.params}.items():
+            if isinstance(value, bool):
+                continue  # switched by one of the family's flags
+            p.add_argument(f"--{key.replace('_', '-')}", type=type(value),
+                           default=value,
+                           help=f"{key.replace('_', ' ')} "
+                                f"(default {value:g})")
+            params.append(key)
+        for flag, options in family.flags:
+            p.add_argument(flag, **options)
+            params.append(options["dest"])
+        if family.sweep:
+            default = ",".join(map(str, figure.counts))
+            p.add_argument(f"--{family.sweep}", type=_counts,
+                           default=figure.counts,
+                           help=f"comma-separated {family.sweep} counts "
+                                f"(default {default})")
         p.add_argument("--arm", default=None,
-                       help="run a single arm (e.g. 5-partial-filtering)")
-
-    add("table2", _cmd_table2, "CPU reservation experiment", 120.0)
-
-    p = add("faults", _cmd_faults,
-            "fault-injection experiment (fig 8 chaos arms)", 120.0)
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (static or adaptive)")
-    p.add_argument("--chart", action="store_true",
-                   help="also draw ASCII cumulative-delivery charts")
-
-    p = add("route", _cmd_route,
-            "fig 11 rerouting gauntlet (backbone cut on a generated "
-            "topology, four recovery arms)", 40.0)
-    p.add_argument("--routers", type=int, default=56,
-                   help="router count for the generated topology "
-                        "(default 56; the family spans 50-500)")
-    p.add_argument("--topology", default="waxman",
-                   choices=["waxman", "fattree", "wan"],
-                   help="topology generator (default waxman)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (static, static-resignal, "
-                        "dynamic, dynamic-resignal)")
-    p.add_argument("--chart", action="store_true",
-                   help="also draw ASCII cumulative-delivery charts")
-
-    p = add("capacity", _cmd_capacity,
-            "fig 9 capacity sweep (N streams x four arms)", 12.0)
-    p.add_argument("--streams", default="1,2,4,8,16,32,64",
-                   help="comma-separated stream counts "
-                        "(default 1,2,4,8,16,32,64)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (best-effort, priority, "
-                        "reserves, adaptive)")
-
-    p = add("scale", _cmd_scale,
-            "fig 10 hybrid fluid/packet scale sweep "
-            "(10^2..10^5 streams x four arms)", 8.0)
-    p.add_argument("--streams", default="100,1000,10000,100000",
-                   help="comma-separated stream counts "
-                        "(default 100,1000,10000,100000)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (best-effort, reserves, "
-                        "adaptive, overload)")
-    p.add_argument("--packet-level", action="store_true",
-                   help="packet-simulate every stream instead of the "
-                        "hybrid fluid model (validation mode; only "
-                        "sensible at small N)")
-
-    p = add("pubsub", _cmd_pubsub,
-            "fig 12 declarative-QoS pub-sub fan-out gauntlet "
-            "(K publishers x M subscribers x seven arms)", 8.0)
-    p.add_argument("--subscribers", default="128,1024,2048",
-                   help="comma-separated total-subscriber counts "
-                        "(default 128,1024,2048)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (best-effort, reliable, "
-                        "adaptive, ownership, durable, filtered, "
-                        "partition)")
+                       help="run a single arm ("
+                            + ", ".join(arm.name for arm in figure.arms)
+                            + ")")
+        p.set_defaults(func=_cmd_figure, figure=figure.name, params=params)
 
     p = sub.add_parser(
         "soak",

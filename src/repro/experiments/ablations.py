@@ -3,14 +3,15 @@
 Each function builds one self-contained simulation arm and returns a
 *picklable* payload (plain dicts of floats, recorders, and stats), so
 the arms can ride the parallel :mod:`repro.experiments.runner` exactly
-like the paper's main experiments.  The ``benchmarks/test_ablation_*``
-files are thin renderers/assertions over these payloads.
+like the paper's main experiments.  Each ablation's ``render_*``
+function turns its two payloads, in spec order, into the published
+table; the ``benchmarks/test_ablation_*`` files assert over them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List
 
 from repro.sim import Kernel, Process
 from repro.sim.rng import RngRegistry
@@ -31,6 +32,7 @@ from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.core import EndToEndQoSManager, ReservationPolicy
 from repro.core.metrics import DeliveryRecorder, LatencyRecorder
+from repro.experiments.reporting import render_table
 
 # ----------------------------------------------------------------------
 # Tail-drop FIFO vs RED+ECN at a GIOP bottleneck
@@ -260,3 +262,67 @@ def deadline_misses(recorder: LatencyRecorder) -> int:
     expected = int(PRIORITY_DRIVEN_DURATION / PRIORITY_DRIVEN_PERIOD) - 1
     unfinished = max(0, expected - recorder.count)
     return late + unfinished
+
+
+# ----------------------------------------------------------------------
+# Renderers: each ablation's (off, on) payload pair -> the published text
+# ----------------------------------------------------------------------
+def render_ablation_ecn(payloads: List[Dict[str, float]]) -> str:
+    rows = [
+        (name,
+         r["max_queue"],
+         f"{r['mean_probe_rtt'] * 1e3:.1f} ms",
+         f"{r['worst_probe_rtt'] * 1e3:.1f} ms",
+         f"{r['bulk_throughput_mbps']:.2f} Mbps",
+         r["marked"], r["dropped"])
+        for name, r in zip(("tail-drop FIFO", "RED + ECN"), payloads)
+    ]
+    return render_table(
+        ("bottleneck qdisc", "max queue (pkts)", "probe RTT (mean)",
+         "probe RTT (worst)", "bulk throughput", "ECN marks", "drops"),
+        rows)
+
+
+def render_ablation_phb(payloads: List[Dict[str, object]]) -> str:
+    rows = []
+    for name, payload in zip(("FIFO", "DiffServ strict-priority"), payloads):
+        recorder = payload["recorder"]
+        stats = recorder.latency.stats()
+        rows.append((
+            name,
+            f"{recorder.delivery_fraction() * 100:.1f}%",
+            f"{stats.mean * 1e3:.1f} ms",
+            f"{stats.std * 1e3:.1f} ms",
+        ))
+    return render_table(
+        ("bottleneck qdisc", "delivered", "mean latency", "std"), rows)
+
+
+def render_ablation_reserve_policy(payloads: List[Dict[str, float]]) -> str:
+    rows = [
+        (name,
+         f"{r['reserved_cpu'] / RESERVE_POLICY_DURATION * 100:.1f}%",
+         f"{r['background_cpu'] / RESERVE_POLICY_DURATION * 100:.1f}%")
+        for name, r in zip(("HARD", "SOFT"), payloads)
+    ]
+    return render_table(
+        ("enforcement", "reserved-task CPU share", "background CPU share"),
+        rows)
+
+
+def render_ablation_priority_driven(
+        payloads: List[Dict[str, object]]) -> str:
+    rows = []
+    for policy_name, payload in zip(("arrival order", "priority order"),
+                                    payloads):
+        response = payload["response"]
+        for task, _, _ in PRIORITY_DRIVEN_TASKS:
+            stats = response[task].stats()
+            rows.append((
+                policy_name, task, stats.count,
+                f"{stats.mean * 1e3:.0f} ms",
+                deadline_misses(response[task]),
+            ))
+    return render_table(
+        ("allocation", "task", "jobs", "mean response", "deadline misses"),
+        rows)

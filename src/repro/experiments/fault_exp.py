@@ -20,6 +20,7 @@ byte-reproducible at any worker count like every other scenario.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Kernel
@@ -35,29 +36,20 @@ from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
 from repro.core.metrics import DeliveryRecorder
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.reporting import (
+    render_cumulative_delivery,
+    render_table,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.quo.syscond import FaultReporterSC
 
 
+@dataclass(frozen=True, slots=True)
 class FaultArm:
     """One chaos arm: the same faults, with or without adaptation."""
 
-    def __init__(self, name: str, adaptive: bool) -> None:
-        self.name = name
-        self.adaptive = bool(adaptive)
-
-    def __reduce__(self):
-        # Not the default dict-state protocol: the "adaptive" arm's
-        # *name* equals an *attribute* name, and whether those two
-        # equal strings are one interned object or two changes
-        # pickle's memo structure — so a result that crossed a worker
-        # process repickled 9 bytes longer than a fresh one, breaking
-        # the byte-parity guarantee.  A constructor-call reduce never
-        # serializes the attribute dict, so the bytes are stable.
-        return (self.__class__, (self.name, self.adaptive))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FaultArm({self.name!r}, adaptive={self.adaptive})"
+    name: str
+    adaptive: bool
 
 
 def all_arms() -> list:
@@ -265,3 +257,28 @@ def run_fault_injection_experiment(
     result.sender.stop()
     result.capture(kernel.events_executed, reporter)
     return result
+
+
+def render_fig8_fault_adaptation(
+        payloads: List[FaultExperimentResult]) -> str:
+    """Per arm: the fault-window table, recovery rate and delivery curve."""
+    sections = []
+    for result in payloads:
+        mode = "on" if result.arm.adaptive else "off"
+        window_table = render_table(
+            ("fault", "start", "end", "sent", "delivered"),
+            [(label, f"{start:.1f}", f"{end:.1f}", sent, delivered)
+             for label, start, end, sent, delivered
+             in result.per_window_counts()])
+        sections.append("\n".join([
+            f"Fig 8 — {result.arm.name} (adaptation {mode})",
+            window_table,
+            f"in fault windows: sent={result.sent_in_fault_windows()} "
+            f"delivered={result.delivered_in_fault_windows()}",
+            "post-fault recovery rate: "
+            f"{result.recovery_rate_fps(10.0):.1f} fps",
+            render_cumulative_delivery(
+                "cumulative delivery",
+                result.cumulative_counts(bin_width=10.0)),
+        ]))
+    return "\n\n".join(sections)

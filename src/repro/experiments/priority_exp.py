@@ -23,6 +23,7 @@ Fig 6     yes                yes     yes        yes
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.kernel import Kernel
@@ -40,6 +41,7 @@ from repro.media.mpeg import MpegStream
 from repro.core.binding import EndToEndPriorityBinding
 from repro.core.metrics import LatencyRecorder
 from repro.experiments.actors import GiopVideoSender, VideoReceiverServant
+from repro.experiments.reporting import render_latency_table, render_series
 
 #: CORBA priorities of the two sender tasks when managed.
 HIGH_PRIORITY = 30000  # maps to DSCP EF under the default bands
@@ -49,22 +51,15 @@ LOW_PRIORITY = 8000  # maps to DSCP AF11
 EQUAL_NATIVE_PRIORITY = 10
 
 
+@dataclass(frozen=True, slots=True)
 class PriorityArm:
     """One experimental configuration."""
 
-    def __init__(
-        self,
-        name: str,
-        thread_priorities: bool = False,
-        dscp: bool = False,
-        cpu_load: bool = False,
-        cross_traffic: bool = False,
-    ) -> None:
-        self.name = name
-        self.thread_priorities = thread_priorities
-        self.dscp = dscp
-        self.cpu_load = cpu_load
-        self.cross_traffic = cross_traffic
+    name: str
+    thread_priorities: bool = False
+    dscp: bool = False
+    cpu_load: bool = False
+    cross_traffic: bool = False
 
     @classmethod
     def figure4a(cls) -> "PriorityArm":
@@ -89,9 +84,6 @@ class PriorityArm:
         return cls("fig6-threads-dscp-congested",
                    thread_priorities=True, dscp=True,
                    cpu_load=True, cross_traffic=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PriorityArm({self.name!r})"
 
 
 class PriorityExperimentResult:
@@ -267,3 +259,46 @@ def all_arms() -> List[PriorityArm]:
         PriorityArm.figure5b(),
         PriorityArm.figure6(),
     ]
+
+
+# ----------------------------------------------------------------------
+# Figure renderers: payloads in spec order -> the published text
+# ----------------------------------------------------------------------
+def _latency_table(payloads: List[PriorityExperimentResult],
+                   labels: Dict[str, str]) -> str:
+    return render_latency_table({
+        labels[result.arm.name]: {
+            sender: result.stats(sender) for sender in ("sender1", "sender2")
+        }
+        for result in payloads
+    })
+
+
+def render_fig4_control_runs(payloads: List[PriorityExperimentResult]) -> str:
+    """Fig 4: the latency table, then each arm's binned sender-1 curve."""
+    table = _latency_table(payloads, {
+        "fig4a-control-idle": "fig4a (idle)",
+        "fig4b-control-congested": "fig4b (16 Mbps cross)",
+    })
+    return "\n\n".join([table] + [
+        render_series(
+            f"{result.arm.name.split('-')[0]} sender1 latency (binned mean)",
+            result.series("sender1", 1.0))
+        for result in payloads
+    ])
+
+
+def render_fig5_thread_priority(
+        payloads: List[PriorityExperimentResult]) -> str:
+    return _latency_table(payloads, {
+        "fig5a-threads-cpuload": "fig5a (CPU load)",
+        "fig5b-threads-cpuload-congested": "fig5b (CPU load + congestion)",
+    })
+
+
+def render_fig6_combined_priority(
+        payloads: List[PriorityExperimentResult]) -> str:
+    return _latency_table(payloads, {
+        "fig5b-threads-cpuload-congested": "fig5b (threads only)",
+        "fig6-threads-dscp-congested": "fig6 (threads + DSCP)",
+    })

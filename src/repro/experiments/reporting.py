@@ -7,7 +7,7 @@ against the original side by side.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.binding import PropagationHop
 from repro.core.metrics import SeriesStats
@@ -135,3 +135,14 @@ def render_cumulative_delivery(
     for time, sent, received in rows:
         lines.append(f"  t={time:7.1f}s {sent:6d} {received:9d}")
     return "\n".join(lines)
+
+
+def group_sweeps(payloads: Iterable[Any], axis: str) -> Dict[str, List[Any]]:
+    """Sweep payloads as ``{arm name: [payload, ...]}``, each list
+    ordered by the payload's ``axis`` attribute (e.g. ``streams``)."""
+    sweeps: Dict[str, List[Any]] = {}
+    for payload in payloads:
+        sweeps.setdefault(payload.arm.name, []).append(payload)
+    for results in sweeps.values():
+        results.sort(key=lambda result: getattr(result, axis))
+    return sweeps

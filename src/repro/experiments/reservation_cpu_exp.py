@@ -19,7 +19,8 @@ The three arms:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
@@ -33,18 +34,19 @@ from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
 from repro.core.metrics import SeriesStats
 from repro.experiments.actors import ATR, AtrServant
+from repro.experiments.reporting import render_table2
 
 #: The paper's image: 400x250 RGB PPM, 300,060 bytes.
 IMAGE_BYTES = 300_060
 
 
+@dataclass(frozen=True, slots=True)
 class CpuArm:
     """One Table 2 condition."""
 
-    def __init__(self, name: str, cpu_load: bool, reservation: bool) -> None:
-        self.name = name
-        self.cpu_load = cpu_load
-        self.reservation = reservation
+    name: str
+    cpu_load: bool
+    reservation: bool
 
     @classmethod
     def no_load(cls) -> "CpuArm":
@@ -57,9 +59,6 @@ class CpuArm:
     @classmethod
     def load_reserve(cls) -> "CpuArm":
         return cls("load+reserve", cpu_load=True, reservation=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CpuArm({self.name!r})"
 
 
 def all_arms() -> list:
@@ -166,3 +165,8 @@ def run_cpu_reservation_experiment(
     for algorithm, recorder in servant.timings.items():
         result.algorithm_stats[algorithm] = recorder.stats()
     return result
+
+
+def render_table2_cpu_reservation(payloads: List[CpuExperimentResult]) -> str:
+    return render_table2({result.arm.name: result.algorithm_stats
+                          for result in payloads})

@@ -23,7 +23,8 @@ observed loss by dropping to 10 or 2 fps.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
@@ -39,6 +40,10 @@ from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
 from repro.core.metrics import DeliveryRecorder, SeriesStats
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.reporting import (
+    render_cumulative_delivery,
+    render_table1,
+)
 
 #: The paper's reservation levels.
 FULL_RESERVATION_BPS = 1.3e6  # "1.2 Mbps, enough to support 30 fps"
@@ -48,16 +53,18 @@ PARTIAL_RESERVATION_BPS = 670e3
 BUCKET_BYTES = 40_000
 
 
+@dataclass(frozen=True, slots=True)
 class NetworkArm:
     """One of the six {reservation} x {filtering} combinations."""
 
-    def __init__(self, name: str, reservation: Optional[str],
-                 filtering: bool) -> None:
-        if reservation not in (None, "partial", "full"):
-            raise ValueError(f"unknown reservation level: {reservation!r}")
-        self.name = name
-        self.reservation = reservation
-        self.filtering = filtering
+    name: str
+    reservation: Optional[str]
+    filtering: bool
+
+    def __post_init__(self) -> None:
+        if self.reservation not in (None, "partial", "full"):
+            raise ValueError(
+                f"unknown reservation level: {self.reservation!r}")
 
     @property
     def reserve_rate_bps(self) -> Optional[float]:
@@ -66,9 +73,6 @@ class NetworkArm:
         if self.reservation == "partial":
             return PARTIAL_RESERVATION_BPS
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"NetworkArm({self.name!r})"
 
 
 def all_arms() -> list:
@@ -278,3 +282,28 @@ def run_network_reservation_experiment(
     result._typed_counts_under_load = typed_under_load
     result.capture(kernel.events_executed)
     return result
+
+
+# ----------------------------------------------------------------------
+# Figure renderers: payloads in spec order -> the published text
+# ----------------------------------------------------------------------
+def render_fig7_frame_delivery(
+        payloads: List[NetworkExperimentResult]) -> str:
+    """Fig 7: cumulative sent vs received for each plotted arm."""
+    labels = {
+        "1-none": "no adaptation",
+        "5-partial-filtering": "partial resv + frame filtering",
+        "3-full": "full reservation",
+    }
+    return "\n\n".join(
+        render_cumulative_delivery(
+            f"Fig 7 — {labels[result.arm.name]}",
+            result.cumulative_counts(bin_width=20.0))
+        for result in payloads)
+
+
+def render_table1_network_reservation(
+        payloads: List[NetworkExperimentResult]) -> str:
+    rows = [(result.arm.name, result.delivered_fraction_under_load(),
+             result.latency_under_load()) for result in payloads]
+    return render_table1(rows, [r.jitter_under_load() for r in payloads])

@@ -26,6 +26,7 @@ or neither.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel
@@ -48,6 +49,10 @@ from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
 from repro.core.metrics import DeliveryRecorder
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.reporting import (
+    render_cumulative_delivery,
+    render_table,
+)
 from repro.faults import FaultInjector, FaultPlan
 
 #: SPF hold-down used by the dynamic arms.
@@ -58,22 +63,13 @@ SPF_DELAY = 0.2
 RESIGNAL_DELAY = 0.25
 
 
+@dataclass(frozen=True, slots=True)
 class RouteArm:
     """One fig 11 arm: {static, dynamic} x {re-signal on, off}."""
 
-    def __init__(self, name: str, dynamic: bool, resignal: bool) -> None:
-        self.name = name
-        self.dynamic = bool(dynamic)
-        self.resignal = bool(resignal)
-
-    def __reduce__(self):
-        # Constructor-call reduce, like FaultArm: keeps pickled bytes
-        # identical whether or not attribute strings are interned.
-        return (self.__class__, (self.name, self.dynamic, self.resignal))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"RouteArm({self.name!r}, dynamic={self.dynamic}, "
-                f"resignal={self.resignal})")
+    name: str
+    dynamic: bool
+    resignal: bool
 
 
 def route_arms() -> List[RouteArm]:
@@ -356,3 +352,31 @@ def run_route_experiment(
     cross.stop()
     result.capture(kernel.events_executed, routing, resignaler, net)
     return result
+
+
+def render_fig11_route(payloads: List[RouteExperimentResult]) -> str:
+    """The topology header, the per-arm summary, then delivery curves."""
+    first = payloads[0]
+    summary = render_table(
+        ("arm", "pre-fail fps", "recovery fps", "spf runs", "lsas",
+         "resignals", "unroutable"),
+        [(result.arm.name,
+          f"{result.pre_fail_fps():.2f}",
+          f"{result.recovery_rate_fps():.2f}",
+          result.spf_runs, result.lsas_flooded,
+          result.resignal_rounds, result.unroutable_drops)
+         for result in payloads])
+    sections = ["\n".join([
+        f"Fig 11 — rerouting gauntlet ({first.router_count}-router "
+        f"{first.topology}, {first.link_count} links)",
+        f"primary path: {' -> '.join(first.primary_path)}",
+        f"backbone cut at t={first.fail_at:g}s: "
+        f"{first.backbone[0]}-{first.backbone[1]}; cross traffic on "
+        f"{first.detour_edge[0]}-{first.detour_edge[1]}",
+        summary,
+    ])]
+    for result in payloads:
+        sections.append(render_cumulative_delivery(
+            f"cumulative delivery — {result.arm.name}",
+            result.cumulative_counts(bin_width=4.0)))
+    return "\n\n".join(sections)

@@ -51,6 +51,7 @@ __all__ = [
     "RunResult",
     "ExperimentRunner",
     "ResultCache",
+    "bench_entry",
     "scenario",
     "registered_scenarios",
     "source_tree_digest",
@@ -170,6 +171,26 @@ def _events_of(payload: Any) -> int:
     if events is None and isinstance(payload, dict):
         events = payload.get("events")
     return int(events or 0)
+
+
+def bench_entry(results: Sequence[RunResult], wall: float,
+                workers: int) -> Dict[str, Any]:
+    """One figure's ``BENCH_figures.json`` entry from its run results.
+
+    ``fresh`` marks the entry as measured by the run that wrote the
+    file; ``benchmarks/check_regression.py`` counts only fresh entries
+    for ``--require`` and ``--min-rate``.
+    """
+    events = sum(r.events for r in results)
+    return {
+        "wall_seconds": round(wall, 4),
+        "events": events,
+        "events_per_sec": round(events / wall) if wall > 0 else 0,
+        "runs": len(results),
+        "cache_hits": sum(1 for r in results if r.cached),
+        "workers": workers,
+        "fresh": True,
+    }
 
 
 # ----------------------------------------------------------------------

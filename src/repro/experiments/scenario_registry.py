@@ -1,40 +1,61 @@
-"""Built-in scenario registrations for the parallel experiment engine.
+"""Every scenario family and every published figure, declared once.
 
 Importing this module registers every paper experiment and ablation
-with :mod:`repro.experiments.runner` under stable names.  Each wrapper
-takes only JSON-able parameters (arms travel as their constructor
-kwargs) and returns the experiment's picklable result payload, so any
-arm x seed x parameter point can be described by a
-:class:`~repro.experiments.runner.RunSpec` and executed in a worker
-process.
+with :mod:`repro.experiments.runner` under stable names.  Two tables
+drive everything else:
+
+* :data:`FAMILIES` -- one :class:`Family` per scenario: its registered
+  name, run function, Arm type, default params and sweep axis.  Its
+  scenario takes only JSON-able params (an arm travels as
+  ``dataclasses.asdict(arm)``) and returns the run's picklable payload,
+  so any arm x seed x parameter point is a
+  :class:`~repro.experiments.runner.RunSpec` a worker process can run.
+* :data:`FIGURES` -- one :class:`Figure` per published table or figure:
+  its family, arms, param overrides and ``render(payloads) -> str``.
+
+:func:`figure_specs`, the ``repro`` figure subcommands and the
+``benchmarks/`` modules are all generated from these two tables, so a
+figure's specs, its CLI output and its ``results/<figure>.txt`` cannot
+drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import scenario
+from repro.experiments.runner import RunSpec, scenario
 from repro.experiments import ablations
+from repro.experiments.reporting import group_sweeps
 from repro.experiments.priority_exp import (
     PriorityArm,
+    render_fig4_control_runs,
+    render_fig5_thread_priority,
+    render_fig6_combined_priority,
     run_priority_experiment,
 )
 from repro.experiments.reservation_cpu_exp import (
     CpuArm,
     all_arms as cpu_all_arms,
+    render_table2_cpu_reservation,
     run_cpu_reservation_experiment,
 )
 from repro.experiments.fault_exp import (
     FaultArm,
+    all_arms as fault_all_arms,
+    render_fig8_fault_adaptation,
     run_fault_injection_experiment,
 )
 from repro.experiments.reservation_net_exp import (
     NetworkArm,
     all_arms as net_all_arms,
+    render_fig7_frame_delivery,
+    render_table1_network_reservation,
     run_network_reservation_experiment,
 )
 from repro.experiments.route_exp import (
     RouteArm,
+    render_fig11_route,
     route_arms,
     run_route_experiment,
 )
@@ -42,11 +63,13 @@ from repro.scale.capacity_exp import (
     CapacityArm,
     all_arms as capacity_all_arms,
     fig9_stream_counts,
+    render_fig9_capacity,
     run_capacity_experiment,
 )
 from repro.scale.fig10 import (
     ScaleArm,
     fig10_stream_counts,
+    render_fig10_scale,
     run_scale_experiment,
     scale_arms,
 )
@@ -54,111 +77,127 @@ from repro.pubsub.fig12 import (
     PubSubArm,
     fig12_subscriber_counts,
     pubsub_arms,
+    render_fig12_pubsub,
     run_pubsub_experiment,
 )
 
 
-def priority_arm_params(arm: PriorityArm) -> Dict[str, Any]:
-    """A :class:`PriorityArm` as RunSpec-ready constructor kwargs."""
-    return {
-        "name": arm.name,
-        "thread_priorities": arm.thread_priorities,
-        "dscp": arm.dscp,
-        "cpu_load": arm.cpu_load,
-        "cross_traffic": arm.cross_traffic,
-    }
+@dataclass(frozen=True)
+class Family:
+    """One registered scenario.
+
+    ``run(arm, seed=..., **params)`` builds and runs one arm of
+    ``arm_type``; with ``arm_type=None`` (the ablations) an arm is a
+    param dict and ``run(**params)`` owns its randomness.  ``params``
+    are the defaults every figure of the family starts from; ``sweep``
+    names the param a figure sweeps over, if any.  ``flags`` are extra
+    ``repro`` options as ``(flag, argparse kwargs)`` pairs, each with a
+    ``dest`` naming the param it sets (``None`` leaves it unset).
+    """
+
+    scenario: str
+    run: Callable[..., Any]
+    arm_type: Optional[type] = None
+    params: Dict[str, Any] = field(default_factory=dict)
+    sweep: Optional[str] = None
+    flags: Tuple[Tuple[str, Dict[str, Any]], ...] = ()
+
+    @property
+    def seed(self) -> Optional[int]:
+        return None if self.arm_type is None else 1
 
 
-def network_arm_params(arm: NetworkArm) -> Dict[str, Any]:
-    return {
-        "name": arm.name,
-        "reservation": arm.reservation,
-        "filtering": arm.filtering,
-    }
+@dataclass(frozen=True)
+class Figure:
+    """One published table or figure: ``results/<name>.txt``.
+
+    ``render`` turns the payloads of :meth:`specs`, in spec order, into
+    the published text; it also accepts any subset of the arms.
+    ``counts`` are the sweep points of a swept family.  A figure with a
+    ``command`` gets a ``repro <command>`` subcommand.
+    """
+
+    name: str
+    family: Family
+    arms: Tuple[Any, ...]
+    render: Callable[[List[Any]], str]
+    params: Dict[str, Any] = field(default_factory=dict)
+    counts: Tuple[int, ...] = ()
+    command: Optional[str] = None
+    help: str = ""
+
+    def specs(self, arms: Optional[Sequence[Any]] = None,
+              counts: Sequence[int] = (), seed: Optional[int] = None,
+              **overrides: Any) -> List[RunSpec]:
+        """The figure's RunSpecs, arm-major; any argument left out
+        takes the figure's declared value."""
+        family = self.family
+        params = {**family.params, **self.params, **overrides}
+        seed = family.seed if seed is None else seed
+        arms = self.arms if arms is None else arms
+        if family.arm_type is None:
+            return [RunSpec(family.scenario, {**params, **arm}, seed=seed)
+                    for arm in arms]
+        points = ([{family.sweep: n} for n in counts or self.counts]
+                  if family.sweep else [{}])
+        return [RunSpec(family.scenario,
+                        {"arm": asdict(arm), **params, **point}, seed=seed)
+                for arm in arms for point in points]
 
 
-def cpu_arm_params(arm: CpuArm) -> Dict[str, Any]:
-    return {
-        "name": arm.name,
-        "cpu_load": arm.cpu_load,
-        "reservation": arm.reservation,
-    }
+PRIORITY = Family("priority", run_priority_experiment, PriorityArm,
+                  {"duration": 30.0})
+NETWORK = Family("reservation_net", run_network_reservation_experiment,
+                 NetworkArm,
+                 {"duration": 300.0, "load_start": 60.0, "load_end": 120.0})
+CPU = Family("reservation_cpu", run_cpu_reservation_experiment, CpuArm,
+             {"duration": 120.0})
+FAULTS = Family("faults", run_fault_injection_experiment, FaultArm,
+                {"duration": 120.0})
+ROUTE = Family("route", run_route_experiment, RouteArm,
+               {"duration": 40.0, "routers": 56},
+               flags=(("--topology", {
+                   "dest": "topology", "default": None,
+                   "choices": ["waxman", "fattree", "wan"],
+                   "help": "topology generator (default waxman)"}),))
+CAPACITY = Family("capacity", run_capacity_experiment, CapacityArm,
+                  {"duration": 12.0}, sweep="streams")
+SCALE = Family("scale", run_scale_experiment, ScaleArm,
+               {"duration": 8.0, "fluid": True}, sweep="streams",
+               flags=(("--packet-level", {
+                   "dest": "fluid", "action": "store_false",
+                   "help": "packet-simulate every stream instead of the "
+                           "hybrid fluid model (validation mode; only "
+                           "sensible at small N)"}),))
+PUBSUB = Family("pubsub", run_pubsub_experiment, PubSubArm,
+                {"duration": 8.0}, sweep="subscribers")
+ECN = Family("ablation_ecn", ablations.run_ecn_arm)
+PHB = Family("ablation_phb", ablations.run_phb_arm)
+RESERVE_POLICY = Family("ablation_reserve_policy",
+                        ablations.run_reserve_policy_arm)
+PRIORITY_DRIVEN = Family("ablation_priority_driven",
+                         ablations.run_priority_driven_arm)
+
+FAMILIES: Tuple[Family, ...] = (
+    PRIORITY, NETWORK, CPU, FAULTS, ROUTE, CAPACITY, SCALE, PUBSUB,
+    ECN, PHB, RESERVE_POLICY, PRIORITY_DRIVEN,
+)
 
 
-@scenario("priority")
-def _priority(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Section 5.1 priority arms (Figs 4-6)."""
-    return run_priority_experiment(PriorityArm(**arm), seed=seed, **kwargs)
+def _register(family: Family) -> None:
+    run, arm_type = family.run, family.arm_type
+    if arm_type is None:
+        def call(seed: Optional[int] = None, **params: Any) -> Any:
+            del seed  # an ablation arm fixes its own randomness
+            return run(**params)
+    else:
+        def call(arm: Dict[str, Any], seed: int = 1, **params: Any) -> Any:
+            return run(arm_type(**arm), seed=seed, **params)
+    scenario(family.scenario)(call)
 
 
-@scenario("reservation_net")
-def _reservation_net(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Section 5.2 network-reservation arms (Fig 7, Table 1)."""
-    return run_network_reservation_experiment(
-        NetworkArm(**arm), seed=seed, **kwargs)
-
-
-@scenario("reservation_cpu")
-def _reservation_cpu(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Section 5.2 CPU-reservation arms (Table 2)."""
-    return run_cpu_reservation_experiment(CpuArm(**arm), seed=seed, **kwargs)
-
-
-def fault_arm_params(arm: FaultArm) -> Dict[str, Any]:
-    return {"name": arm.name, "adaptive": arm.adaptive}
-
-
-@scenario("faults")
-def _faults(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 8 chaos arms: frame delivery under injected faults."""
-    return run_fault_injection_experiment(FaultArm(**arm), seed=seed,
-                                          **kwargs)
-
-
-def route_arm_params(arm: RouteArm) -> Dict[str, Any]:
-    return {"name": arm.name, "dynamic": arm.dynamic,
-            "resignal": arm.resignal}
-
-
-@scenario("route")
-def _route(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 11 rerouting arms: fps held through a backbone failure."""
-    return run_route_experiment(RouteArm(**arm), seed=seed, **kwargs)
-
-
-def capacity_arm_params(arm: CapacityArm) -> Dict[str, Any]:
-    return {"name": arm.name, "priorities": arm.priorities,
-            "admission": arm.admission, "adaptation": arm.adaptation}
-
-
-@scenario("capacity")
-def _capacity(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 9 capacity arms: N streams behind admission control."""
-    return run_capacity_experiment(CapacityArm(**arm), seed=seed, **kwargs)
-
-
-def scale_arm_params(arm: ScaleArm) -> Dict[str, Any]:
-    return {"name": arm.name, "admission": arm.admission,
-            "adaptation": arm.adaptation, "overload": arm.overload}
-
-
-@scenario("scale")
-def _scale(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 10 hybrid fluid/packet scale arms (10^2..10^5 streams)."""
-    return run_scale_experiment(ScaleArm(**arm), seed=seed, **kwargs)
-
-
-def pubsub_arm_params(arm: PubSubArm) -> Dict[str, Any]:
-    return {"name": arm.name, "reliable": arm.reliable,
-            "adaptive": arm.adaptive, "ownership": arm.ownership,
-            "faults": arm.faults, "durable": arm.durable,
-            "filtered": arm.filtered, "partition": arm.partition}
-
-
-@scenario("pubsub")
-def _pubsub(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 12 declarative-QoS pub-sub fan-out arms."""
-    return run_pubsub_experiment(PubSubArm(**arm), seed=seed, **kwargs)
+for _family in FAMILIES:
+    _register(_family)
 
 
 @scenario("soak_case")
@@ -173,132 +212,80 @@ def _soak_case(case: Dict[str, Any], seed: Optional[int] = None):
     return run_soak_case(case)
 
 
-@scenario("ablation_ecn")
-def _ablation_ecn(use_red: bool, seed: Optional[int] = None):
-    del seed  # the arm's RED RNG is internally fixed
-    return ablations.run_ecn_arm(use_red)
-
-
-@scenario("ablation_phb")
-def _ablation_phb(diffserv: bool, seed: Optional[int] = None):
-    del seed
-    return ablations.run_phb_arm(diffserv)
-
-
-@scenario("ablation_reserve_policy")
-def _ablation_reserve_policy(policy: str, seed: Optional[int] = None):
-    del seed
-    return ablations.run_reserve_policy_arm(policy)
-
-
-@scenario("ablation_priority_driven")
-def _ablation_priority_driven(priority_driven: bool,
-                              seed: Optional[int] = None):
-    del seed
-    return ablations.run_priority_driven_arm(priority_driven)
-
-
 # ----------------------------------------------------------------------
-# The paper's figure suite as spec lists
+# The paper's figure suite
 # ----------------------------------------------------------------------
-def figure_specs() -> "Dict[str, list]":
+FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
+    Figure("fig4_control_runs", PRIORITY,
+           (PriorityArm.figure4a(), PriorityArm.figure4b()),
+           render_fig4_control_runs,
+           command="fig4", help="control runs (idle vs congested)"),
+    Figure("fig5_thread_priority", PRIORITY,
+           (PriorityArm.figure5a(), PriorityArm.figure5b()),
+           render_fig5_thread_priority,
+           command="fig5", help="thread priorities alone"),
+    Figure("fig6_combined_priority", PRIORITY,
+           (PriorityArm.figure5b(), PriorityArm.figure6()),
+           render_fig6_combined_priority,
+           command="fig6", help="thread priorities + DSCP"),
+    Figure("fig7_frame_delivery", NETWORK,
+           (NetworkArm("1-none", None, False),
+            NetworkArm("5-partial-filtering", "partial", True),
+            NetworkArm("3-full", "full", False)),
+           render_fig7_frame_delivery,
+           command="fig7", help="fig 7 cumulative frame delivery "
+                                "(three network-reservation arms)"),
+    Figure("fig8_fault_adaptation", FAULTS, tuple(fault_all_arms()),
+           render_fig8_fault_adaptation,
+           command="faults",
+           help="fault-injection experiment (fig 8 chaos arms)"),
+    Figure("fig9_capacity", CAPACITY, tuple(capacity_all_arms()),
+           lambda payloads: render_fig9_capacity(
+               group_sweeps(payloads, "streams")),
+           counts=tuple(fig9_stream_counts()),
+           command="capacity",
+           help="fig 9 capacity sweep (N streams x four arms)"),
+    Figure("fig10_scale", SCALE, tuple(scale_arms()),
+           lambda payloads: render_fig10_scale(
+               group_sweeps(payloads, "streams")),
+           counts=tuple(fig10_stream_counts()),
+           command="scale", help="fig 10 hybrid fluid/packet scale sweep "
+                                 "(10^2..10^5 streams x four arms)"),
+    Figure("fig12_pubsub", PUBSUB, tuple(pubsub_arms()),
+           lambda payloads: render_fig12_pubsub(
+               group_sweeps(payloads, "subscribers")),
+           counts=tuple(fig12_subscriber_counts()),
+           command="pubsub",
+           help="fig 12 declarative-QoS pub-sub fan-out gauntlet "
+                "(K publishers x M subscribers x seven arms)"),
+    Figure("fig11_route", ROUTE, tuple(route_arms()), render_fig11_route,
+           command="route",
+           help="fig 11 rerouting gauntlet (backbone cut on a generated "
+                "topology, four recovery arms)"),
+    Figure("table1_network_reservation", NETWORK, tuple(net_all_arms()),
+           render_table1_network_reservation,
+           command="table1", help="network reservation experiment"),
+    Figure("table2_cpu_reservation", CPU, tuple(cpu_all_arms()),
+           render_table2_cpu_reservation,
+           command="table2", help="CPU reservation experiment"),
+    Figure("ablation_ecn", ECN, ({"use_red": False}, {"use_red": True}),
+           ablations.render_ablation_ecn),
+    Figure("ablation_phb", PHB, ({"diffserv": False}, {"diffserv": True}),
+           ablations.render_ablation_phb),
+    Figure("ablation_reserve_policy", RESERVE_POLICY,
+           ({"policy": "HARD"}, {"policy": "SOFT"}),
+           ablations.render_ablation_reserve_policy),
+    Figure("ablation_priority_driven_reservation", PRIORITY_DRIVEN,
+           ({"priority_driven": False}, {"priority_driven": True}),
+           ablations.render_ablation_priority_driven),
+)}
+
+
+def figure_specs() -> Dict[str, List[RunSpec]]:
     """Every figure/table as its canonical list of RunSpecs.
 
     These are the exact specs the benchmark suite runs (same
-    durations, same seeds), so ``repro bench`` and
-    ``pytest benchmarks/`` share cache entries.
+    durations, same seeds), so ``repro bench``, ``repro <command>`` at
+    default flags and ``pytest benchmarks/`` share cache entries.
     """
-    from repro.experiments.runner import RunSpec
-
-    priority_duration = 30.0
-    net_timeline = {"duration": 300.0, "load_start": 60.0,
-                    "load_end": 120.0}
-
-    def priority_spec(arm: PriorityArm) -> "RunSpec":
-        return RunSpec("priority",
-                       {"arm": priority_arm_params(arm),
-                        "duration": priority_duration}, seed=1)
-
-    def net_spec(arm: NetworkArm) -> "RunSpec":
-        return RunSpec("reservation_net",
-                       {"arm": network_arm_params(arm), **net_timeline},
-                       seed=1)
-
-    return {
-        "fig4_control_runs": [
-            priority_spec(PriorityArm.figure4a()),
-            priority_spec(PriorityArm.figure4b()),
-        ],
-        "fig5_thread_priority": [
-            priority_spec(PriorityArm.figure5a()),
-            priority_spec(PriorityArm.figure5b()),
-        ],
-        "fig6_combined_priority": [
-            priority_spec(PriorityArm.figure5b()),
-            priority_spec(PriorityArm.figure6()),
-        ],
-        "fig7_frame_delivery": [
-            net_spec(NetworkArm("1-none", None, False)),
-            net_spec(NetworkArm("5-partial-filtering", "partial", True)),
-            net_spec(NetworkArm("3-full", "full", False)),
-        ],
-        "fig8_fault_adaptation": [
-            RunSpec("faults",
-                    {"arm": fault_arm_params(FaultArm("static", False)),
-                     "duration": 120.0}, seed=1),
-            RunSpec("faults",
-                    {"arm": fault_arm_params(FaultArm("adaptive", True)),
-                     "duration": 120.0}, seed=1),
-        ],
-        "fig9_capacity": [
-            RunSpec("capacity",
-                    {"arm": capacity_arm_params(arm), "streams": count,
-                     "duration": 12.0}, seed=1)
-            for arm in capacity_all_arms()
-            for count in fig9_stream_counts()
-        ],
-        "fig10_scale": [
-            RunSpec("scale",
-                    {"arm": scale_arm_params(arm), "streams": count,
-                     "duration": 8.0, "fluid": True}, seed=1)
-            for arm in scale_arms()
-            for count in fig10_stream_counts()
-        ],
-        "fig12_pubsub": [
-            RunSpec("pubsub",
-                    {"arm": pubsub_arm_params(arm), "subscribers": count,
-                     "duration": 8.0}, seed=1)
-            for arm in pubsub_arms()
-            for count in fig12_subscriber_counts()
-        ],
-        "fig11_route": [
-            RunSpec("route",
-                    {"arm": route_arm_params(arm), "routers": 56,
-                     "duration": 40.0}, seed=1)
-            for arm in route_arms()
-        ],
-        "table1_network_reservation": [
-            net_spec(arm) for arm in net_all_arms()
-        ],
-        "table2_cpu_reservation": [
-            RunSpec("reservation_cpu",
-                    {"arm": cpu_arm_params(arm), "duration": 120.0}, seed=1)
-            for arm in cpu_all_arms()
-        ],
-        "ablation_ecn": [
-            RunSpec("ablation_ecn", {"use_red": False}),
-            RunSpec("ablation_ecn", {"use_red": True}),
-        ],
-        "ablation_phb": [
-            RunSpec("ablation_phb", {"diffserv": False}),
-            RunSpec("ablation_phb", {"diffserv": True}),
-        ],
-        "ablation_reserve_policy": [
-            RunSpec("ablation_reserve_policy", {"policy": "HARD"}),
-            RunSpec("ablation_reserve_policy", {"policy": "SOFT"}),
-        ],
-        "ablation_priority_driven_reservation": [
-            RunSpec("ablation_priority_driven", {"priority_driven": False}),
-            RunSpec("ablation_priority_driven", {"priority_driven": True}),
-        ],
-    }
+    return {name: figure.specs() for name, figure in FIGURES.items()}

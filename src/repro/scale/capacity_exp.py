@@ -37,6 +37,7 @@ best-effort arms collapse.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.coalesce import PeriodicTicker
@@ -90,35 +91,14 @@ BASE_CORBA_PRIORITY = 32000
 LANE_STEP = 25
 
 
+@dataclass(frozen=True, slots=True)
 class CapacityArm:
     """One fig 9 arm: which mechanisms the farm turns on."""
 
-    def __init__(self, name: str, priorities: bool = False,
-                 admission: bool = False, adaptation: bool = False) -> None:
-        self.name = name
-        self.priorities = bool(priorities)
-        self.admission = bool(admission)
-        self.adaptation = bool(adaptation)
-
-    def __reduce__(self):
-        # Constructor-call reduce (see FaultArm): never serialize the
-        # attribute dict, so equal-string interning can't change the
-        # pickle memo structure and payload bytes stay identical at any
-        # worker count.
-        return (self.__class__,
-                (self.name, self.priorities, self.admission, self.adaptation))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CapacityArm):
-            return NotImplemented
-        return (self.name == other.name
-                and self.priorities == other.priorities
-                and self.admission == other.admission
-                and self.adaptation == other.adaptation)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"CapacityArm({self.name!r}, priorities={self.priorities}, "
-                f"admission={self.admission}, adaptation={self.adaptation})")
+    name: str
+    priorities: bool = False
+    admission: bool = False
+    adaptation: bool = False
 
 
 def all_arms() -> List[CapacityArm]:

@@ -51,6 +51,7 @@ link the only contended resource.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
@@ -106,33 +107,14 @@ SCALE_TENANTS = 4
 MEASURED_PER_CLASS = 4
 
 
+@dataclass(frozen=True, slots=True)
 class ScaleArm:
     """One fig 10 arm: admission / adaptation / tenant-skew switches."""
 
-    def __init__(self, name: str, admission: bool = False,
-                 adaptation: bool = False, overload: bool = False) -> None:
-        self.name = name
-        self.admission = bool(admission)
-        self.adaptation = bool(adaptation)
-        self.overload = bool(overload)
-
-    def __reduce__(self):
-        # Constructor-call reduce (see CapacityArm): payload bytes stay
-        # identical at any worker count.
-        return (self.__class__,
-                (self.name, self.admission, self.adaptation, self.overload))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScaleArm):
-            return NotImplemented
-        return (self.name == other.name
-                and self.admission == other.admission
-                and self.adaptation == other.adaptation
-                and self.overload == other.overload)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ScaleArm({self.name!r}, admission={self.admission}, "
-                f"adaptation={self.adaptation}, overload={self.overload})")
+    name: str
+    admission: bool = False
+    adaptation: bool = False
+    overload: bool = False
 
 
 def scale_arms() -> List[ScaleArm]:

@@ -1,65 +1,26 @@
-"""Tests for the CLI runner and ASCII chart rendering."""
+"""Tests for the CLI runner and its generated figure subcommands."""
+
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.charts import ascii_cumulative, ascii_timeseries
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.scenario_registry import FIGURES
+
+COMMANDS = {figure.command: figure for figure in FIGURES.values()
+            if figure.command is not None}
 
 
-# ----------------------------------------------------------------------
-# Charts
-# ----------------------------------------------------------------------
-def test_timeseries_chart_basic():
-    series = [(float(i), 0.001 * (i + 1)) for i in range(20)]
-    text = ascii_timeseries("demo", series, width=40, height=8)
-    lines = text.splitlines()
-    assert "demo" in lines[0]
-    assert any("*" in line for line in lines)
-    assert "time (s)" in lines[-1]
-
-
-def test_timeseries_chart_empty():
-    assert "(no data)" in ascii_timeseries("demo", [])
-
-
-def test_timeseries_log_scale_separates_decades():
-    # Two clusters: ~1 ms and ~1 s; log scale must not squash the low one.
-    series = [(float(i), 0.001) for i in range(10)]
-    series += [(float(i + 10), 1.0) for i in range(10)]
-    text = ascii_timeseries("demo", series, width=40, height=10)
-    rows_with_stars = [
-        index for index, line in enumerate(text.splitlines())
-        if "*" in line
-    ]
-    assert max(rows_with_stars) - min(rows_with_stars) >= 8
-
-
-def test_timeseries_linear_scale():
-    series = [(0.0, 0.0), (1.0, 0.010)]
-    text = ascii_timeseries("demo", series, log_y=False)
-    assert "linear" in text
-
-
-def test_cumulative_chart():
-    rows = [(float(t), t * 10, t * 8) for t in range(11)]
-    text = ascii_cumulative("fig7", rows, width=40, height=8)
-    assert "." in text and "#" in text
-    assert "100" in text  # peak label
-
-
-def test_cumulative_chart_empty():
-    assert "(no data)" in ascii_cumulative("fig7", [])
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
 def test_parser_knows_all_commands():
     parser = build_parser()
-    for command in ("fig4", "fig5", "fig6", "priority-all",
-                    "table1", "fig7", "table2"):
+    for command in ("fig4", "fig5", "fig6", "table1", "fig7", "table2",
+                    "faults", "route", "capacity", "scale", "pubsub"):
         args = parser.parse_args([command])
         assert callable(args.func)
+    assert set(COMMANDS) == {"fig4", "fig5", "fig6", "table1", "fig7",
+                             "table2", "faults", "route", "capacity",
+                             "scale", "pubsub"}
 
 
 def test_parser_rejects_unknown_command():
@@ -67,10 +28,28 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["fig99"])
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_generated_command_rejects_unknown_arm(command):
+    names = ", ".join(arm.name for arm in COMMANDS[command].arms)
+    message = f"unknown arm 'nonsense'; choose from: {names}"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main([command, "--arm", "nonsense"])
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("capacity", "--streams"), ("scale", "--streams"),
+    ("pubsub", "--subscribers")])
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_sweep_counts_are_validated(command, flag, value, capsys):
+    with pytest.raises(SystemExit):
+        main([command, flag, value])
+    assert "positive counts" in capsys.readouterr().err
+
+
 def test_cli_fig4_runs_end_to_end(capsys):
     assert main(["fig4", "--duration", "3"]) == 0
     out = capsys.readouterr().out
-    assert "fig4a-control-idle" in out
+    assert "fig4a (idle)" in out
     assert "sender1" in out
 
 
@@ -79,6 +58,14 @@ def test_cli_table2_runs_end_to_end(capsys):
     out = capsys.readouterr().out
     for algorithm in ("Kirsch", "Prewitt", "Sobel"):
         assert algorithm in out
+
+
+def test_cli_table2_prints_the_declared_renderer(capsys):
+    assert main(["-j", "1", "--no-cache", "table2", "--duration", "10"]) == 0
+    figure = FIGURES["table2_cpu_reservation"]
+    payloads = ExperimentRunner(jobs=1, cache=False).payloads(
+        figure.specs(duration=10.0))
+    assert capsys.readouterr().out == figure.render(payloads) + "\n"
 
 
 def test_cli_table1_single_arm(capsys):
@@ -102,4 +89,9 @@ def test_cli_fig7_chart_output(capsys):
         "--load-end", "15", "--arm", "3-full",
     ]) == 0
     out = capsys.readouterr().out
-    assert "sent" in out and "#" in out
+    assert "Fig 7 — full reservation" in out
+    assert "  time      sent  received" in out
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith("  t=")]
+    assert rows
+    assert int(rows[-1][-2]) > 0  # the cumulative sent count grew

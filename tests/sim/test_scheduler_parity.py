@@ -26,20 +26,11 @@ This file also pins the tie-break rules themselves:
 from __future__ import annotations
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
 from repro.experiments.runner import ExperimentRunner, RunSpec
-from repro.experiments.scenario_registry import (
-    capacity_arm_params,
-    cpu_arm_params,
-    fault_arm_params,
-    network_arm_params,
-    priority_arm_params,
-    pubsub_arm_params,
-    route_arm_params,
-    scale_arm_params,
-)
 from repro.experiments.priority_exp import PriorityArm
 from repro.experiments.reservation_cpu_exp import CpuArm
 from repro.experiments.reservation_net_exp import NetworkArm
@@ -60,39 +51,39 @@ def _parity_specs():
     return {
         "priority": RunSpec(
             "priority",
-            {"arm": priority_arm_params(PriorityArm.figure4a()),
+            {"arm": asdict(PriorityArm.figure4a()),
              "duration": 3.0}, seed=1),
         "reservation_net": RunSpec(
             "reservation_net",
-            {"arm": network_arm_params(NetworkArm("3-full", "full", False)),
+            {"arm": asdict(NetworkArm("3-full", "full", False)),
              "duration": 30.0, "load_start": 5.0, "load_end": 15.0}, seed=1),
         "reservation_cpu": RunSpec(
             "reservation_cpu",
-            {"arm": cpu_arm_params(CpuArm.load_reserve()),
+            {"arm": asdict(CpuArm.load_reserve()),
              "duration": 10.0}, seed=1),
         "faults": RunSpec(
             "faults",
-            {"arm": fault_arm_params(FaultArm("adaptive", True)),
+            {"arm": asdict(FaultArm("adaptive", True)),
              "duration": 30.0}, seed=1),
         "capacity": RunSpec(
             "capacity",
-            {"arm": capacity_arm_params(
+            {"arm": asdict(
                 CapacityArm("adaptive", True, True, True)),
              "streams": 4, "duration": 4.0}, seed=1),
         "scale": RunSpec(
             "scale",
-            {"arm": scale_arm_params(
+            {"arm": asdict(
                 ScaleArm("adaptive", admission=True, adaptation=True)),
              "streams": 40, "duration": 2.0, "fluid": True,
              "bottleneck_bps": 10e6, "cross_traffic_bps": 4e6}, seed=1),
         "route": RunSpec(
             "route",
-            {"arm": route_arm_params(
+            {"arm": asdict(
                 RouteArm("dynamic-resignal", True, True)),
              "routers": 12, "duration": 12.0, "fail_at": 3.0}, seed=1),
         "pubsub": RunSpec(
             "pubsub",
-            {"arm": pubsub_arm_params(
+            {"arm": asdict(
                 PubSubArm("ownership", ownership=True, faults=True)),
              "subscribers": 64, "duration": 4.0}, seed=1),
         "soak_case": RunSpec(
@@ -224,7 +215,7 @@ def test_worker_fanout_parity(monkeypatch, jobs, tmp_path):
     """
     specs = [
         RunSpec("capacity",
-                {"arm": capacity_arm_params(arm), "streams": 3,
+                {"arm": asdict(arm), "streams": 3,
                  "duration": 2.0}, seed=1)
         for arm in (CapacityArm("best-effort", False, False, False),
                     CapacityArm("priority", True, False, False),
@@ -254,7 +245,7 @@ def test_worker_fanout_parity_pubsub(monkeypatch, jobs, tmp_path):
     pin above for why)."""
     specs = [
         RunSpec("pubsub",
-                {"arm": pubsub_arm_params(arm), "subscribers": 64,
+                {"arm": asdict(arm), "subscribers": 64,
                  "duration": 4.0}, seed=1)
         for arm in pubsub_arms()
     ]
@@ -284,7 +275,7 @@ def test_worker_fanout_parity_route(monkeypatch, jobs, tmp_path):
     don't), which is pickle-memo trivia, not a determinism signal."""
     specs = [
         RunSpec("route",
-                {"arm": route_arm_params(arm), "routers": 12,
+                {"arm": asdict(arm), "routers": 12,
                  "duration": 12.0, "fail_at": 3.0}, seed=1)
         for arm in route_arms()
     ]
