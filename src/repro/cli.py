@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         family = figure.family
         p = sub.add_parser(figure.command, help=figure.help)
         params = []
-        for key, value in {**family.params, **figure.params}.items():
+        for key, value in family.params.items():
             if isinstance(value, bool):
                 continue  # switched by one of the family's flags
             p.add_argument(f"--{key.replace('_', '-')}", type=type(value),

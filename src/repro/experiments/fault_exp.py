@@ -279,6 +279,6 @@ def render_fig8_fault_adaptation(
             f"{result.recovery_rate_fps(10.0):.1f} fps",
             render_cumulative_delivery(
                 "cumulative delivery",
-                result.cumulative_counts(bin_width=10.0)),
+                result.cumulative_counts(bin_width=result.duration / 12)),
         ]))
     return "\n\n".join(sections)

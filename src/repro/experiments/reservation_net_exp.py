@@ -298,7 +298,7 @@ def render_fig7_frame_delivery(
     return "\n\n".join(
         render_cumulative_delivery(
             f"Fig 7 — {labels[result.arm.name]}",
-            result.cumulative_counts(bin_width=20.0))
+            result.cumulative_counts(bin_width=result.duration / 15))
         for result in payloads)
 
 

@@ -378,5 +378,5 @@ def render_fig11_route(payloads: List[RouteExperimentResult]) -> str:
     for result in payloads:
         sections.append(render_cumulative_delivery(
             f"cumulative delivery — {result.arm.name}",
-            result.cumulative_counts(bin_width=4.0)))
+            result.cumulative_counts(bin_width=result.duration / 10)))
     return "\n\n".join(sections)

@@ -11,7 +11,7 @@ drive everything else:
   so any arm x seed x parameter point is a
   :class:`~repro.experiments.runner.RunSpec` a worker process can run.
 * :data:`FIGURES` -- one :class:`Figure` per published table or figure:
-  its family, arms, param overrides and ``render(payloads) -> str``.
+  its family, arms and ``render(payloads) -> str``.
 
 :func:`figure_specs`, the ``repro`` figure subcommands and the
 ``benchmarks/`` modules are all generated from these two tables, so a
@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import RunSpec, scenario
 from repro.experiments import ablations
-from repro.experiments.reporting import group_sweeps
 from repro.experiments.priority_exp import (
     PriorityArm,
     render_fig4_control_runs,
@@ -121,7 +120,6 @@ class Figure:
     family: Family
     arms: Tuple[Any, ...]
     render: Callable[[List[Any]], str]
-    params: Dict[str, Any] = field(default_factory=dict)
     counts: Tuple[int, ...] = ()
     command: Optional[str] = None
     help: str = ""
@@ -132,7 +130,7 @@ class Figure:
         """The figure's RunSpecs, arm-major; any argument left out
         takes the figure's declared value."""
         family = self.family
-        params = {**family.params, **self.params, **overrides}
+        params = {**family.params, **overrides}
         seed = family.seed if seed is None else seed
         arms = self.arms if arms is None else arms
         if family.arm_type is None:
@@ -240,20 +238,17 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
            command="faults",
            help="fault-injection experiment (fig 8 chaos arms)"),
     Figure("fig9_capacity", CAPACITY, tuple(capacity_all_arms()),
-           lambda payloads: render_fig9_capacity(
-               group_sweeps(payloads, "streams")),
+           render_fig9_capacity,
            counts=tuple(fig9_stream_counts()),
            command="capacity",
            help="fig 9 capacity sweep (N streams x four arms)"),
     Figure("fig10_scale", SCALE, tuple(scale_arms()),
-           lambda payloads: render_fig10_scale(
-               group_sweeps(payloads, "streams")),
+           render_fig10_scale,
            counts=tuple(fig10_stream_counts()),
            command="scale", help="fig 10 hybrid fluid/packet scale sweep "
                                  "(10^2..10^5 streams x four arms)"),
     Figure("fig12_pubsub", PUBSUB, tuple(pubsub_arms()),
-           lambda payloads: render_fig12_pubsub(
-               group_sweeps(payloads, "subscribers")),
+           render_fig12_pubsub,
            counts=tuple(fig12_subscriber_counts()),
            command="pubsub",
            help="fig 12 declarative-QoS pub-sub fan-out gauntlet "

@@ -654,9 +654,11 @@ def run_pubsub_experiment(
 # ----------------------------------------------------------------------
 # Rendering (shared by the CLI and the fig12 benchmark)
 # ----------------------------------------------------------------------
-def render_fig12_pubsub(sweeps: "Dict[str, List[PubSubResult]]") -> str:
+def render_fig12_pubsub(payloads: "List[PubSubResult]") -> str:
     """One table per arm over the subscriber sweep + failover recap."""
-    from repro.experiments.reporting import render_table
+    from repro.experiments.reporting import group_sweeps, render_table
+
+    sweeps = group_sweeps(payloads, "subscribers")
 
     sections = []
     ownership_results: List[PubSubResult] = []

@@ -423,13 +423,11 @@ def run_capacity_experiment(
 # ----------------------------------------------------------------------
 # Rendering (shared by the CLI and the fig9 benchmark)
 # ----------------------------------------------------------------------
-def render_fig9_capacity(
-        sweeps: "Dict[str, List[CapacityResult]]") -> str:
-    """The fig 9 text figure: one table per arm plus a saturation recap.
+def render_fig9_capacity(payloads: "List[CapacityResult]") -> str:
+    """The fig 9 text figure: one table per arm plus a saturation recap."""
+    from repro.experiments.reporting import group_sweeps, render_table
 
-    ``sweeps`` maps arm name to its results ordered by stream count.
-    """
-    from repro.experiments.reporting import render_table
+    sweeps = group_sweeps(payloads, "streams")
 
     def fmt(value: float) -> str:
         return f"{value:.2f}"

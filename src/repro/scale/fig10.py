@@ -454,9 +454,11 @@ def run_scale_experiment(
 # ----------------------------------------------------------------------
 # Rendering (shared by the CLI and the fig10 benchmark)
 # ----------------------------------------------------------------------
-def render_fig10_scale(sweeps: "Dict[str, List[ScaleResult]]") -> str:
+def render_fig10_scale(payloads: "List[ScaleResult]") -> str:
     """The fig 10 text figure: one table per arm + tenant isolation recap."""
-    from repro.experiments.reporting import render_table
+    from repro.experiments.reporting import group_sweeps, render_table
+
+    sweeps = group_sweeps(payloads, "streams")
 
     def fps(stats: Optional[ScaleClassStats]) -> str:
         return f"{stats.mean_fps:.2f}" if stats else "-"

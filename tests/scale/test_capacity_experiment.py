@@ -74,12 +74,12 @@ def test_result_pickles_without_live_actors():
 
 
 def test_render_covers_every_arm_and_recap():
-    sweeps = {}
-    for arm in (CapacityArm("best-effort"),
-                CapacityArm("reserves", priorities=True, admission=True)):
-        sweeps[arm.name] = [run(arm, streams=n, duration=2.0)
-                            for n in (1, 2)]
-    text = render_fig9_capacity(sweeps)
+    payloads = [run(arm, streams=n, duration=2.0)
+                for arm in (CapacityArm("best-effort"),
+                            CapacityArm("reserves", priorities=True,
+                                        admission=True))
+                for n in (1, 2)]
+    text = render_fig9_capacity(payloads)
     assert "Fig 9 — capacity sweep — best-effort" in text
     assert "Fig 9 — capacity sweep — reserves" in text
     assert "saturation recap (N=2" in text
