@@ -16,6 +16,10 @@ earlier run is reported as not measured and cannot satisfy
 Cache-served figures are skipped — a ``wall_seconds`` measured with
 cache hits says nothing about simulator speed.
 
+A ``--min-rate`` failure also prints the entry's ``calibration_per_s``
+(a fixed pure-Python loop timed on the same host) next to the
+baseline's, so a slow host can be told apart from slow code.
+
 Very fast figures are noisy in wall-clock terms, so figures whose
 baseline is below ``--min-seconds`` (default 0.2 s) are compared
 against ``baseline * factor + min-seconds`` instead of a bare ratio.
@@ -37,6 +41,16 @@ def load(path: str) -> dict:
     if not isinstance(data, dict):
         raise SystemExit(f"check_regression: {path} is not a JSON object")
     return data
+
+
+def _provenance(entry: dict) -> str:
+    """An entry's calibration rate and host, or "not recorded"."""
+    calibration = entry.get("calibration_per_s")
+    if calibration is None:
+        return "not recorded"
+    return (f"{calibration:,.0f} loop iterations/s (nproc "
+            f"{entry.get('nproc')}, Python {entry.get('python')}, "
+            f"scheduler {entry.get('scheduler')})")
 
 
 def main(argv=None) -> int:
@@ -102,6 +116,8 @@ def main(argv=None) -> int:
               f"{verdict}")
         if rate < floor:
             failures.append(name)
+            print(f"    host calibration: {_provenance(entry)} now, "
+                  f"{_provenance(baseline.get(name, {}))} in the baseline")
     for name in sorted(set(baseline) | set(fresh)):
         if name not in baseline:
             print(f"  new figure (no baseline): {name}")

@@ -20,10 +20,19 @@ in ``BENCH_figures.json`` and gated in CI via
   itself at 196 k events/s) — that number is frozen below as the
   comparison point, because the committed BENCH_figures.json is
   refreshed by the new core and can't serve as its own baseline.
+
+The floor is absolute, so the entry also records what the host was:
+``calibration_per_s``, the rate of a fixed pure-Python reference loop
+timed in the same process (the loop ``perfbench/child.py`` times), and
+the CPU count, Python version and scheduler.  When the floor fails,
+``check_regression.py`` prints the current and the baseline
+calibration, so a slow host can be told apart from slow code.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 
 from repro.sim import Kernel, PeriodicTicker
@@ -50,6 +59,18 @@ N_FLOWS = 64
 N_SUBSCRIBERS = 32
 N_CHURN = 8
 REPEATS = 5
+
+#: Iterations of the calibration loop (about 0.1 s on a 2020s core).
+CALIBRATION_ITERATIONS = 1_000_000
+
+
+def calibration_rate() -> float:
+    """Iterations per second of a fixed pure-Python reference loop."""
+    start = time.perf_counter()
+    acc = 0
+    for i in range(CALIBRATION_ITERATIONS):
+        acc = (acc + i * i) % 1_000_003
+    return CALIBRATION_ITERATIONS / (time.perf_counter() - start)
 
 
 class _Flow:
@@ -109,6 +130,7 @@ def _run_workload(scheduler: str) -> tuple[int, float]:
 
 def test_event_core_throughput(benchmark):
     scheduler = scheduler_from_env()
+    calibration = calibration_rate()
     samples = []
 
     def once():
@@ -132,10 +154,14 @@ def test_event_core_throughput(benchmark):
         "cache_hits": 0,
         "workers": 1,
         "scheduler": scheduler,
+        "calibration_per_s": round(calibration),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
     }
     print(f"\nevent_core[{scheduler}]: {events} events in "
           f"{best_wall:.3f}s = {eps / 1e3:.0f}k events/s "
-          f"({eps / PRE_REWRITE_EPS:.1f}x pre-rewrite)")
+          f"({eps / PRE_REWRITE_EPS:.1f}x pre-rewrite; calibration "
+          f"{calibration / 1e6:.2f}M loop iterations/s)")
 
     assert events >= MIN_EVENTS, (
         f"workload shrank to {events} events; not table 1-scale any more")

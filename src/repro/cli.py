@@ -293,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(SCHEDULER_BACKENDS),
                         help="pending-event backend for the simulation "
                              "kernel (default: REPRO_SCHEDULER or "
-                             f"{DEFAULT_SCHEDULER}); results are identical "
-                             "either way — this switches the engine, not "
-                             "the experiment")
+                             f"{DEFAULT_SCHEDULER}; calendar is the parity "
+                             "reference); results are identical either "
+                             "way — this switches the engine, not the "
+                             "experiment")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for figure in FIGURES.values():

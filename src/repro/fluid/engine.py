@@ -232,21 +232,20 @@ class FluidLink:
         if iface is None:
             return
         from repro.net.diffserv import PhbClass
+        from repro.net.queues import DiffServQueue
         qdisc = iface.qdisc
-        base = getattr(qdisc, "_base", qdisc)  # GRQ wraps a DiffServ base
-        capacities = getattr(base, "_capacities", None)
-        if capacities is None:
+        if not isinstance(qdisc, DiffServQueue):
             return  # plain FIFO etc.: no band budget to share
         if self._be_band_base is None:
-            self._be_band_base = capacities[PhbClass.DEFAULT]
+            self._be_band_base = qdisc.band_capacity(PhbClass.DEFAULT)
         fluid_be = self.fluid_be_in_bps
         if fluid_be <= EPSILON:
             share = 1.0
         else:
             total = self.packet_be_bps + fluid_be
             share = self.packet_be_bps / total if total > EPSILON else 1.0
-        capacities[PhbClass.DEFAULT] = max(
-            1, int(round(self._be_band_base * share)))
+        qdisc.set_band_capacity(
+            PhbClass.DEFAULT, max(1, int(round(self._be_band_base * share))))
 
     def on_link_state(self, up: bool) -> None:
         """Fault-layer notification: the underlying link failed/restored."""

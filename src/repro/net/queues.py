@@ -10,9 +10,9 @@ Three disciplines cover the paper's experiments:
     the priority-based network management arms (Figs 5, 6).
 
 ``GuaranteedRateQueue``
-    Per-flow token-bucket policed reservations layered over a
-    DiffServQueue — the IntServ/RSVP arms (Fig 7, Table 1).  Traffic
-    conforming to an installed reservation is served ahead of
+    Per-flow token-bucket policed reservations in front of the
+    DiffServQueue bands — the IntServ/RSVP arms (Fig 7, Table 1).
+    Traffic conforming to an installed reservation is served ahead of
     everything else; non-conforming excess is demoted to its DSCP class
     (and thus competes with, and drowns in, the congestion it was
     supposed to be protected from).
@@ -24,11 +24,11 @@ and tests can assert on loss behaviour.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.kernel import Kernel
 from repro.sim.quantize import clamp
-from repro.net.diffserv import PhbClass, classify, drop_precedence
+from repro.net.diffserv import Dscp, PhbClass, classify, drop_precedence
 from repro.net.packet import Packet
 
 
@@ -161,6 +161,10 @@ class DiffServQueue(QueueDiscipline):
     honoured: as a band fills past 1/3 (2/3) of its capacity, arrivals
     with drop precedence 3 (2) are rejected first, so AFx1 traffic
     squeezes out AFx3 of the same class under pressure.
+
+    Enqueue is one dict lookup: a per-instance table maps each DSCP to
+    its ``(band deque, admission threshold)``, filled the first time a
+    codepoint arrives and cleared by :meth:`set_band_capacity`.
     """
 
     #: Band-fill fraction above which each AF drop precedence is
@@ -186,43 +190,69 @@ class DiffServQueue(QueueDiscipline):
         # a precomputed deque list avoids re-iterating the enum class
         # (enum iteration is surprisingly expensive on this hot path).
         self._band_order = tuple(self._bands[phb] for phb in PhbClass)
+        #: DSCP -> (band deque, threshold); see :meth:`_admission`.
+        self._table: Dict[Dscp, Tuple[deque, float]] = {}
 
-    def enqueue(self, packet: Packet) -> bool:
-        band = classify(packet.dscp)
-        queue = self._bands[band]
+    # -- band capacities -------------------------------------------------
+    def band_capacity(self, phb: PhbClass) -> int:
+        """Packets band ``phb`` holds before it tail-drops."""
+        return self._capacities[phb]
+
+    def set_band_capacity(self, phb: PhbClass, capacity: int) -> None:
+        """Resize band ``phb``; packets already queued stay queued."""
+        self._capacities[phb] = capacity
+        self._table.clear()
+
+    def _admission(self, dscp: Dscp) -> Tuple[deque, float]:
+        """Compute and cache ``dscp``'s band and admission threshold."""
+        band = classify(dscp)
         threshold = self._capacities[band]
         if band in self._ASSURED_BANDS:
-            precedence = drop_precedence(packet.dscp)
-            threshold *= self.DROP_PRECEDENCE_THRESHOLDS[precedence]
+            threshold *= self.DROP_PRECEDENCE_THRESHOLDS[drop_precedence(dscp)]
+        entry = self._table[dscp] = (self._bands[band], threshold)
+        return entry
+
+    # -- discipline -------------------------------------------------------
+    def enqueue(self, packet: Packet) -> bool:
+        entry = self._table.get(packet.dscp)
+        if entry is None:
+            entry = self._admission(packet.dscp)
+        queue, threshold = entry
         if len(queue) >= threshold:
             return self._drop(packet)
         queue.append(packet)
-        return self._accept(packet)
+        self.enqueued += 1
+        return True
 
     def dequeue(self) -> Optional[Packet]:
         for queue in self._band_order:  # most- to least-preferred
             if queue:
-                return self._record_dequeue(queue.popleft())
-        return self._record_dequeue(None)
+                self.dequeued += 1
+                return queue.popleft()
+        return None
 
     def band_depth(self, phb: PhbClass) -> int:
         return len(self._bands[phb])
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._bands.values())
+        return sum(map(len, self._band_order))
 
 
-class GuaranteedRateQueue(QueueDiscipline):
-    """IntServ guaranteed-rate service over a DiffServ base.
+class GuaranteedRateQueue(DiffServQueue):
+    """IntServ guaranteed-rate service in front of the DiffServ bands.
 
     Flows with installed reservations are policed by per-flow token
     buckets at enqueue time:
 
     * conforming packets join the *reserved* queue, served strictly
       first (the integrated-services guarantee);
-    * non-conforming packets are demoted into the underlying DiffServ
-      bands according to their DSCP, i.e. excess traffic receives
-      exactly the treatment it would have had with no reservation.
+    * non-conforming packets are demoted into the DiffServ bands
+      according to their DSCP, i.e. excess traffic receives exactly the
+      treatment it would have had with no reservation.
+
+    The reserved queue is simply one more deque at the head of the band
+    order, so dequeue, length and drop accounting are the inherited
+    DiffServ ones.
 
     Reservations are installed/removed by RSVP agents
     (:mod:`repro.net.intserv`) as RESV messages traverse the router.
@@ -235,16 +265,11 @@ class GuaranteedRateQueue(QueueDiscipline):
         reserved_capacity: int = 400,
         name: str = "intserv",
     ) -> None:
-        super().__init__(name=name)
+        super().__init__(band_capacity=band_capacity, name=name)
         self._kernel = kernel
         self._reserved: deque = deque()
         self.reserved_capacity = int(reserved_capacity)
-        self._base = DiffServQueue(band_capacity=band_capacity)
-        # Base-queue drops (demotion-then-overflow) are folded into this
-        # queue's books through the base's own on_drop hook, so every
-        # drop increments drops_by_flow and fires self.on_drop exactly
-        # once, whichever internal path rejected the packet.
-        self._base.on_drop = self._mirror_base_drop
+        self._band_order = (self._reserved,) + self._band_order
         self._buckets: Dict[str, TokenBucket] = {}
         #: Packets that conformed to a reservation (observability).
         self.conformed = 0
@@ -265,30 +290,15 @@ class GuaranteedRateQueue(QueueDiscipline):
         return dict(self._buckets)
 
     # -- discipline -------------------------------------------------------
-    def _mirror_base_drop(self, packet: Packet) -> None:
-        self._drop(packet)
-
     def enqueue(self, packet: Packet) -> bool:
         bucket = self._buckets.get(packet.flow_id)
-        if bucket is not None and bucket.try_consume(packet.size_bytes):
-            if len(self._reserved) >= self.reserved_capacity:
-                return self._drop(packet)
-            self.conformed += 1
-            self._reserved.append(packet)
-            return self._accept(packet)
         if bucket is not None:
+            if bucket.try_consume(packet.size_bytes):
+                if len(self._reserved) >= self.reserved_capacity:
+                    return self._drop(packet)
+                self.conformed += 1
+                self._reserved.append(packet)
+                self.enqueued += 1
+                return True
             self.demoted += 1
-        accepted = self._base.enqueue(packet)
-        if accepted:
-            return self._accept(packet)
-        # The base rejected it; its drop already mirrored into our books.
-        return False
-
-    def dequeue(self) -> Optional[Packet]:
-        if self._reserved:
-            return self._record_dequeue(self._reserved.popleft())
-        packet = self._base.dequeue()
-        return self._record_dequeue(packet)
-
-    def __len__(self) -> int:
-        return len(self._reserved) + len(self._base)
+        return DiffServQueue.enqueue(self, packet)

@@ -94,30 +94,22 @@ class _TrafficSource:
     def _emit(self) -> None:
         if not self._running:
             return
-        packet = Packet(
-            src=self._src_name,
-            dst=self.dst,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            protocol=Protocol.UDP,
-            payload=None,
-            payload_bytes=self.packet_bytes,
-            dscp=self.dscp,
-            flow_id=self._flow_id,
-            created_at=self.kernel.now,
-        )
+        kernel = self.kernel
+        packet = Packet(self._src_name, self.dst, self.src_port,
+                        self.dst_port, Protocol.UDP, None,
+                        self.packet_bytes, self.dscp, self._flow_id,
+                        kernel.now)
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes
         self.nic.send(packet)
         event = self._next_emit
         if (event is not None and not event.cancelled
                 and event._kernel is None):
-            self.kernel.rearm(event, self._next_gap())
+            kernel.rearm(event, self._next_gap())
         else:
             # stop()+start() churn inside nic.send's downstream effects;
             # fall back to a fresh handle.
-            self._next_emit = self.kernel.schedule(self._next_gap(),
-                                                   self._emit)
+            self._next_emit = kernel.schedule(self._next_gap(), self._emit)
 
     def _next_gap(self) -> float:
         i = self._gap_i

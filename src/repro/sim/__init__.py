@@ -12,8 +12,8 @@ Public surface
 ``Kernel``
     The event loop: a time-ordered queue of scheduled callbacks plus a
     simulated clock.  The pending-event store is pluggable
-    (``REPRO_SCHEDULER``): a calendar-queue/timer-wheel backend by
-    default, the legacy binary heap for differential testing.
+    (``REPRO_SCHEDULER``): a binary heap by default, and a
+    calendar-queue/timer-wheel backend as the differential reference.
 
 ``PeriodicTicker`` / ``TickCoalescer``
     Kernel-level timer coalescing: batch N same-tick wakeups into one

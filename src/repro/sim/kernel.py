@@ -9,9 +9,10 @@ Scheduler backends
 ------------------
 
 The pending-event store is pluggable (see :mod:`repro.sim.eventq`):
-``REPRO_SCHEDULER=calendar`` (the default) uses a calendar-queue /
-bucketed timer wheel with a far-future heap overflow;
-``REPRO_SCHEDULER=heap`` selects the legacy binary heap.  Both pop in
+``REPRO_SCHEDULER=heap`` (the default) uses a binary heap of
+``(time, seq, event)`` tuples, the fastest store for the small pending
+sets of the figure workloads; ``REPRO_SCHEDULER=calendar`` selects the
+reference calendar queue / bucketed timer wheel.  Both pop in
 identical ``(time, seq)`` order, so the choice can never change
 results — ``tests/sim/test_scheduler_parity.py`` runs every figure
 scenario through both and asserts byte-identical payloads and traces.
@@ -95,7 +96,7 @@ class Kernel:
     start_time:
         Initial value of the simulated clock.
     scheduler:
-        Pending-event backend: ``"calendar"``, ``"heap"``, a
+        Pending-event backend: ``"heap"``, ``"calendar"``, a
         pre-constructed backend instance (tests tune wheel parameters
         this way), or ``None`` to follow ``REPRO_SCHEDULER``.
 

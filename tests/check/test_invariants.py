@@ -137,21 +137,36 @@ def test_qdisc_accounting_catches_flow_ledger_mismatch():
         checker.final_check()
 
 
-def test_qdisc_accounting_catches_unmirrored_base_drop():
-    """The exact bug class the drop-mirroring fix closed: the inner
-    DiffServ base rejects a demoted packet but the outer queue's books
-    never hear about it."""
+def test_qdisc_accounting_catches_unbooked_band_drop(monkeypatch):
+    """The flat reservation qdisc routes every drop through one
+    ``_drop``; a drop that bumps the counter but never books the flow
+    (or fires ``on_drop``) on the demotion-then-overflow path must be
+    caught."""
     _, _, world = grq_world()
     checker = QdiscAccountingChecker()
     checker.attach(world)
     qdisc = next(iter(world.qdiscs().values()))
-    qdisc._base.on_drop = None  # sever the mirror
-    for _ in range(4):  # band capacity 2: two accepted, two base drops
-        qdisc.enqueue(Packet(src="a", dst="b", src_port=1, dst_port=2,
-                             protocol=Protocol.UDP, payload_bytes=500,
-                             dscp=Dscp.BE))
-    assert qdisc._base.dropped > qdisc.dropped  # the corruption
-    with pytest.raises(InvariantViolation, match="not mirrored"):
+    # A 1-byte bucket: every packet of the flow is demoted to its band.
+    qdisc.install_reservation("a:1->b:2", rate_bps=8.0, depth_bytes=1)
+
+    def enqueue_four():
+        for _ in range(4):  # band capacity 2: two accepted, two drops
+            qdisc.enqueue(Packet(src="a", dst="b", src_port=1, dst_port=2,
+                                 protocol=Protocol.UDP, payload_bytes=500,
+                                 dscp=Dscp.BE))
+
+    enqueue_four()
+    assert qdisc.demoted == 4 and qdisc.dropped == 2
+    checker.final_check()  # honest books: every drop is booked
+
+    def unbooked_drop(packet):
+        qdisc.dropped += 1
+        return False
+
+    monkeypatch.setattr(qdisc, "_drop", unbooked_drop)
+    enqueue_four()
+    assert qdisc.dropped > sum(qdisc.drops_by_flow.values())  # the bug
+    with pytest.raises(InvariantViolation, match="per-flow drop ledger"):
         checker.final_check()
 
 

@@ -102,9 +102,13 @@ def _congested_case(faults=()):
 
 
 def _reintroduce_drop_bug(monkeypatch):
-    """Undo the exactly-once drop-accounting fix: base drops vanish."""
-    monkeypatch.setattr(GuaranteedRateQueue, "_mirror_base_drop",
-                        lambda self, packet: None)
+    """Plant a drop path that bumps the counter but skips the per-flow
+    ledger and the ``on_drop`` hook."""
+    def unbooked_drop(self, packet):
+        self.dropped += 1
+        return False
+
+    monkeypatch.setattr(GuaranteedRateQueue, "_drop", unbooked_drop)
 
 
 def test_reintroduced_drop_bug_is_caught(monkeypatch):
@@ -115,7 +119,7 @@ def test_reintroduced_drop_bug_is_caught(monkeypatch):
     assert not verdict["ok"]
     assert verdict["failure"] == "invariant"
     assert verdict["checker"] == "qdisc-accounting"
-    assert "not mirrored" in verdict["message"]
+    assert "per-flow drop ledger" in verdict["message"]
 
 
 def test_shrink_reduces_the_failing_case(monkeypatch):

@@ -94,6 +94,22 @@ def test_min_rate_ignores_carried_over_figure(tmp_path):
     assert check_regression.main(args) == 1
 
 
+def test_min_rate_failure_prints_both_calibrations(tmp_path, capsys):
+    host = {"nproc": 2, "python": "3.11.7", "scheduler": "heap"}
+    baseline = write(tmp_path, "base.json", {"event_core": {
+        **entry(1.0), "events_per_sec": 1_000_000,
+        "calibration_per_s": 9_000_000, **host}})
+    current = write(tmp_path, "cur.json", {"event_core": {
+        **entry(1.2), "events_per_sec": 700_000,
+        "calibration_per_s": 6_000_000, **host}})
+    args = [baseline, current, "--min-rate", "event_core=830000"]
+    assert check_regression.main(args) == 1
+    out = capsys.readouterr().out
+    assert "6,000,000 loop iterations/s" in out
+    assert "9,000,000 loop iterations/s" in out
+    assert "nproc 2, Python 3.11.7, scheduler heap" in out
+
+
 def test_session_flush_marks_only_measured_entries(tmp_path, monkeypatch):
     """conftest drops the mark from carried-over entries."""
     monkeypatch.setattr(sys, "path", list(sys.path))

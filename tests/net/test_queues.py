@@ -142,6 +142,20 @@ def test_diffserv_fifo_within_band():
     assert queue.dequeue() is first
 
 
+@pytest.mark.parametrize("make_queue", [
+    lambda: DiffServQueue(band_capacity=100),
+    lambda: GuaranteedRateQueue(Kernel(), band_capacity=100),
+])
+def test_set_band_capacity_applies_to_the_next_enqueue(make_queue):
+    queue = make_queue()
+    assert queue.enqueue(make_packet(dscp=Dscp.BE))  # BE threshold cached
+    queue.set_band_capacity(PhbClass.DEFAULT, 1)
+    assert queue.band_capacity(PhbClass.DEFAULT) == 1
+    assert not queue.enqueue(make_packet(dscp=Dscp.BE))
+    assert queue.dropped == 1
+    assert queue.band_capacity(PhbClass.EXPEDITED) == 100
+
+
 def test_diffserv_len_counts_all_bands():
     queue = DiffServQueue()
     queue.enqueue(make_packet(dscp=Dscp.EF))

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim import Kernel, SimulationError
+from repro.sim.eventq import HeapEventQueue
+from repro.sim.kernel import ScheduledEvent
 
 
 def test_events_fire_in_time_order():
@@ -271,6 +273,28 @@ def test_scheduler_argument_selects_backend():
         assert kernel.scheduler == name
     with pytest.raises(Exception):
         Kernel(scheduler="btree")
+
+
+def test_heap_pop_due_leaves_a_live_entry_past_the_limit_queued():
+    queue = HeapEventQueue()
+    handles = []
+    for seq, time in enumerate((1.0, 2.0, 3.0)):
+        handle = ScheduledEvent(time, seq, lambda: None, ())
+        queue.push(time, seq, handle)
+        handles.append(handle)
+    # A live front entry past the limit stays queued, books unchanged.
+    assert queue.pop_due(0.5) is None
+    assert (queue.size(), queue.live()) == (3, 3)
+    assert queue.peek() == 1.0
+    assert queue.pop_due(None) is handles[0]
+    # A cancelled front entry is pruned even when it lies past the limit.
+    handles[1].cancelled = True
+    queue.note_cancel()
+    assert queue.pop_due(1.5) is None
+    assert (queue.size(), queue.live(), queue.stale) == (1, 1, 0)
+    assert queue.peek() == 3.0
+    assert queue.pop_due(None) is handles[2]
+    assert queue.pop_due(None) is None
 
 
 def test_events_executed_accumulates_across_runs():
