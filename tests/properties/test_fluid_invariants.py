@@ -226,13 +226,15 @@ def cohort_world(caps, governor_delay, initial, ops, spelled_out):
              for name, cap in zip(LINK_NAMES, caps)}
     live = []  # (cohort name, members), insertion order
     snapshots = []
+    added = []  # one entry per cohort ever added, so names never repeat
 
     def members(name, k):
         return [f"{name}#{j}" for j in range(k)] if spelled_out else [name]
 
     def add(spec):
         rate, reserved, adaptive, path, k, deadline = spec
-        name = f"c{len(snapshots)}-{len(live)}"
+        name = f"c{len(snapshots)}-{len(added)}"
+        added.append(name)
         for flow_name in members(name, k):
             engine.add_flow(flow_name, rate, [links[hop] for hop in path],
                             reserved=reserved, adaptive=adaptive,
